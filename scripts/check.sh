@@ -8,6 +8,7 @@
 #   SKIP_TSAN=1 scripts/check.sh   # skip both sanitizer phases
 #   SKIP_ASAN=1 scripts/check.sh   # skip only the AddressSanitizer phase
 #   SKIP_OVERHEAD=1 scripts/check.sh   # skip the metrics-overhead guard
+#   SKIP_PERFBENCH=1 scripts/check.sh  # skip the perfbench smoke
 #
 # Build trees: build/ (tier-1), build-tsan/ and build-asan/ (sanitized).
 
@@ -253,6 +254,17 @@ assert row["prep_reduction_x"] >= 5.0, row["prep_reduction_x"]
 print("plan-cache JSON ok: plan hit rate %.1f%%, prep reduction %.1fx"
       % (100 * row["plan_hit_rate"], row["prep_reduction_x"]))
 EOF
+
+if [[ "${SKIP_PERFBENCH:-0}" == "1" ]]; then
+  echo "== SKIP_PERFBENCH=1: skipping perfbench smoke =="
+else
+  echo "== perfbench smoke: every BENCHMARK.json workload, digest-checked =="
+  # Builds perfbench_driver into .bench_build/ (the first time takes a
+  # minute or two), then runs each workload untraced and traced on a small
+  # lake for a second: every answer must match its reference digest and
+  # every declared metric must be printed.
+  python3 perfbench/smoke.py
+fi
 
 if [[ "${SKIP_TSAN:-0}" == "1" ]]; then
   echo "== SKIP_TSAN=1: skipping ThreadSanitizer phase =="

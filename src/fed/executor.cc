@@ -36,34 +36,35 @@ using RowQueuePtr = std::shared_ptr<RowQueue>;
 constexpr size_t kQueueCapacity = 4096;
 constexpr size_t kDependentJoinBatch = 64;
 
-// Serialized join key of a binding over `vars`. Empty vars = single bucket
-// (cross product).
-std::string JoinKey(const rdf::Binding& row,
-                    const std::vector<std::string>& vars) {
-  std::string key;
+// Writes the join key of `row` over `vars` into `*key` (the terms'
+// rdf::AppendTermKey encodings, so equal keys mean equal terms); false if
+// a join variable is unbound. Empty vars = single bucket (cross product).
+bool JoinKey(const rdf::Binding& row, const std::vector<std::string>& vars,
+             std::string* key) {
+  key->clear();
   for (const std::string& v : vars) {
     auto it = row.find(v);
-    if (it == row.end()) return std::string();  // unmatched sentinel below
-    key += it->second.ToString();
-    key.push_back('\x01');
-  }
-  return key;
-}
-
-bool HasAllVars(const rdf::Binding& row,
-                const std::vector<std::string>& vars) {
-  for (const std::string& v : vars) {
-    if (row.count(v) == 0) return false;
+    if (it == row.end()) return false;
+    rdf::AppendTermKey(it->second, key);
   }
   return true;
 }
 
-// Merges two compatible bindings (equal on shared variables by key
-// construction).
-rdf::Binding MergeBindings(const rdf::Binding& a, const rdf::Binding& b) {
-  rdf::Binding out = a;
-  out.insert(b.begin(), b.end());
-  return out;
+// The distinct terms `var` binds over `rows`, in first-seen order: the
+// instantiation list of a dependent-join probe.
+std::vector<rdf::Term> DistinctTerms(const std::vector<rdf::Binding>& rows,
+                                     const std::string& var) {
+  std::vector<rdf::Term> terms;
+  std::unordered_set<std::string> seen;
+  std::string key;
+  for (const rdf::Binding& row : rows) {
+    auto it = row.find(var);
+    if (it == row.end()) continue;
+    key.clear();
+    rdf::AppendTermKey(it->second, &key);
+    if (seen.insert(key).second) terms.push_back(it->second);
+  }
+  return terms;
 }
 
 // Per-operator runtime recorder: attached as the wait observer of the
@@ -523,8 +524,8 @@ class LeftJoinTask final : public OpTaskBase {
           continue;
         }
         for (rdf::Binding& row : in_batch_) {
-          if (!HasAllVars(row, join_vars_)) continue;
-          table_[JoinKey(row, join_vars_)].push_back(std::move(row));
+          if (!JoinKey(row, join_vars_, &key_)) continue;
+          table_[key_].push_back(std::move(row));
         }
         continue;
       }
@@ -539,9 +540,8 @@ class LeftJoinTask final : public OpTaskBase {
         }
       }
       for (rdf::Binding& row : in_batch_) {
-        auto it = HasAllVars(row, join_vars_)
-                      ? table_.find(JoinKey(row, join_vars_))
-                      : table_.end();
+        auto it = JoinKey(row, join_vars_, &key_) ? table_.find(key_)
+                                                  : table_.end();
         if (it == table_.end() || it->second.empty()) {
           // No extension: keep the left row (left-outer semantics).
           writer_.Add(std::move(row));
@@ -581,6 +581,7 @@ class LeftJoinTask final : public OpTaskBase {
   const std::vector<std::string> join_vars_;
   std::function<void()> done_;
   std::unordered_map<std::string, std::vector<rdf::Binding>> table_;
+  std::string key_;  // JoinKey scratch, reused across rows
   std::vector<rdf::Binding> in_batch_;
   bool building_ = true;   // phase one: materializing the right side
   bool draining_ = false;  // all input consumed; writer remainder only
@@ -706,18 +707,8 @@ class DependentJoinTask final : public OpTaskBase {
   using WriterState = TaskWriter<rdf::Binding>::State;
 
   svc::TaskResult LaunchProbe() {
-    // Distinct instantiation terms for the bound variable.
-    std::vector<rdf::Term> terms;
-    std::unordered_set<std::string> seen;
-    for (const rdf::Binding& row : probe_) {
-      auto it = row.find(bind_var_);
-      if (it == row.end()) continue;
-      if (seen.insert(it->second.ToString()).second) {
-        terms.push_back(it->second);
-      }
-    }
     SubQuery bound = subquery_;
-    bound.instantiations[bind_var_] = std::move(terms);
+    bound.instantiations[bind_var_] = DistinctTerms(probe_, bind_var_);
     result_ = std::make_shared<ProbeResult>();
     awaiting_ = true;
     probe_fn_(std::move(bound), result_);
@@ -726,13 +717,14 @@ class DependentJoinTask final : public OpTaskBase {
 
   void JoinProbe() {
     std::unordered_map<std::string, std::vector<rdf::Binding>> right;
+    std::string key;
     for (rdf::Binding& row : result_->rows) {
-      if (!HasAllVars(row, join_vars_)) continue;
-      right[JoinKey(row, join_vars_)].push_back(std::move(row));
+      if (!JoinKey(row, join_vars_, &key)) continue;
+      right[key].push_back(std::move(row));
     }
     for (const rdf::Binding& lrow : probe_) {
-      if (!HasAllVars(lrow, join_vars_)) continue;
-      auto it = right.find(JoinKey(lrow, join_vars_));
+      if (!JoinKey(lrow, join_vars_, &key)) continue;
+      auto it = right.find(key);
       if (it == right.end()) continue;
       for (const rdf::Binding& rrow : it->second) {
         writer_.Add(MergeBindings(lrow, rrow));
@@ -1839,13 +1831,13 @@ class PlanExecution::Impl {
       std::unordered_map<std::string, std::vector<rdf::Binding>> table[2];
       std::vector<Tagged> in_batch;
       BatchWriter<rdf::Binding> writer(out.get(), batch, token);
+      std::string key;
       bool open = true;
       while (open && merged->PopBatch(&in_batch, batch, token) > 0) {
         for (Tagged& item : in_batch) {
           const int side = item.side;
           const rdf::Binding& row = item.row;
-          if (!HasAllVars(row, join_vars)) continue;
-          std::string key = JoinKey(row, join_vars);
+          if (!JoinKey(row, join_vars, &key)) continue;
           table[side][key].push_back(row);
           auto it = table[1 - side].find(key);
           if (it == table[1 - side].end()) continue;
@@ -1888,19 +1880,19 @@ class PlanExecution::Impl {
       WallTimer wall(rec);
       std::unordered_map<std::string, std::vector<rdf::Binding>> table;
       std::vector<rdf::Binding> rows;
+      std::string key;
       while (right->PopBatch(&rows, batch, token) > 0) {
         for (rdf::Binding& row : rows) {
-          if (!HasAllVars(row, join_vars)) continue;
-          table[JoinKey(row, join_vars)].push_back(std::move(row));
+          if (!JoinKey(row, join_vars, &key)) continue;
+          table[key].push_back(std::move(row));
         }
       }
       BatchWriter<rdf::Binding> writer(out.get(), batch, token);
       bool open = true;
       while (open && left->PopBatch(&rows, batch, token) > 0) {
         for (rdf::Binding& row : rows) {
-          auto it = HasAllVars(row, join_vars)
-                        ? table.find(JoinKey(row, join_vars))
-                        : table.end();
+          auto it = JoinKey(row, join_vars, &key) ? table.find(key)
+                                                  : table.end();
           if (it == table.end() || it->second.empty()) {
             // No extension: keep the left row (left-outer semantics).
             if (!writer.Add(std::move(row))) {
@@ -2013,18 +2005,8 @@ class PlanExecution::Impl {
       auto flush = [&]() -> bool {
         if (probe.empty()) return true;
         if (token.IsCancelled()) return false;
-        // Distinct instantiation terms for the bound variable.
-        std::vector<rdf::Term> terms;
-        std::unordered_set<std::string> seen;
-        for (const rdf::Binding& row : probe) {
-          auto it = row.find(bind_var);
-          if (it == row.end()) continue;
-          if (seen.insert(it->second.ToString()).second) {
-            terms.push_back(it->second);
-          }
-        }
         SubQuery bound = subquery;
-        bound.instantiations[bind_var] = std::move(terms);
+        bound.instantiations[bind_var] = DistinctTerms(probe, bind_var);
         // Execute synchronously into a local queue large enough to never
         // block (we are the only consumer and drain afterwards).
         RowQueue local(static_cast<size_t>(1) << 30);
@@ -2047,15 +2029,16 @@ class PlanExecution::Impl {
         local.Close();
         std::unordered_map<std::string, std::vector<rdf::Binding>> right;
         std::vector<rdf::Binding> drained;
+        std::string key;
         while (local.PopBatch(&drained, batch, token) > 0) {
           for (rdf::Binding& row : drained) {
-            if (!HasAllVars(row, join_vars)) continue;
-            right[JoinKey(row, join_vars)].push_back(std::move(row));
+            if (!JoinKey(row, join_vars, &key)) continue;
+            right[key].push_back(std::move(row));
           }
         }
         for (const rdf::Binding& lrow : probe) {
-          if (!HasAllVars(lrow, join_vars)) continue;
-          auto it = right.find(JoinKey(lrow, join_vars));
+          if (!JoinKey(lrow, join_vars, &key)) continue;
+          auto it = right.find(key);
           if (it == right.end()) continue;
           for (const rdf::Binding& rrow : it->second) {
             if (!writer.Add(MergeBindings(lrow, rrow))) return false;
@@ -2200,13 +2183,8 @@ class PlanExecution::Impl {
       while (open && in->PopBatch(&rows, batch, token) > 0) {
         for (rdf::Binding& row : rows) {
           std::string key;
-          for (const auto& [var, term] : row) {
-            key += var;
-            key.push_back('\x02');
-            key += term.ToString();
-            key.push_back('\x01');
-          }
-          if (!seen.insert(key).second) continue;
+          rdf::AppendRowKey(row, &key);
+          if (!seen.insert(std::move(key)).second) continue;
           if (!writer.Add(std::move(row))) {
             open = false;
             break;
@@ -2395,14 +2373,13 @@ class PlanExecution::Impl {
     auto join_process =
         [join_vars,
          table = std::array<
-             std::unordered_map<std::string, std::vector<rdf::Binding>>, 2>{}](
-            std::vector<TaggedRow>&& in_batch,
-            TaskWriter<rdf::Binding>* w) mutable {
+             std::unordered_map<std::string, std::vector<rdf::Binding>>, 2>{},
+         key = std::string()](std::vector<TaggedRow>&& in_batch,
+                              TaskWriter<rdf::Binding>* w) mutable {
           for (TaggedRow& item : in_batch) {
             const int side = item.side;
             const rdf::Binding& row = item.row;
-            if (!HasAllVars(row, join_vars)) continue;
-            std::string key = JoinKey(row, join_vars);
+            if (!JoinKey(row, join_vars, &key)) continue;
             table[side][key].push_back(row);
             auto it = table[1 - side].find(key);
             if (it == table[1 - side].end()) continue;
@@ -2667,13 +2644,8 @@ class PlanExecution::Impl {
             TaskWriter<rdf::Binding>* w) mutable {
           for (rdf::Binding& row : rows) {
             std::string key;
-            for (const auto& [var, term] : row) {
-              key += var;
-              key.push_back('\x02');
-              key += term.ToString();
-              key.push_back('\x01');
-            }
-            if (!seen.insert(key).second) continue;
+            rdf::AppendRowKey(row, &key);
+            if (!seen.insert(std::move(key)).second) continue;
             w->Add(std::move(row));
           }
           return true;

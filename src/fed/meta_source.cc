@@ -4,7 +4,6 @@
 #include <map>
 #include <set>
 #include <sstream>
-#include <unordered_set>
 
 #include "fed/engine.h"
 #include "rdf/bgp.h"
@@ -322,22 +321,13 @@ Status MetaSource::Execute(const SubQuery& subquery,
     return Status::InvalidArgument("empty sub-query for source " + id_);
   }
   std::vector<sparql::FilterExprPtr> filters = subquery.SourceFilters();
-  std::map<std::string, std::unordered_set<std::string>> allowed;
-  for (const auto& [var, terms] : subquery.instantiations) {
-    auto& set = allowed[var];
-    for (const rdf::Term& t : terms) set.insert(t.ToString());
-  }
+  InstantiationFilter instantiations(subquery);
   std::vector<std::string> variables = subquery.Variables();
   BatchEmitter emitter(ctx);
   Status scan = rdf::EvaluateBgpVisit(
       store, patterns, [&](const rdf::Binding& binding) {
         if (ctx.token.IsCancelled()) return false;
-        for (const auto& [var, set] : allowed) {
-          auto it = binding.find(var);
-          if (it == binding.end() || set.count(it->second.ToString()) == 0) {
-            return true;
-          }
-        }
+        if (!instantiations.Allows(binding)) return true;
         for (const sparql::FilterExprPtr& filter : filters) {
           Result<bool> pass = filter->EvalBool(binding);
           if (!pass.ok() || !*pass) return true;

@@ -33,6 +33,19 @@ std::string ShortDigest(const std::string& s) {
   return buf;
 }
 
+// DISTINCT key of `row` projected on `vars`: rdf::AppendTermKey encodings
+// behind a byte telling bound from unbound, so equal keys mean equal rows.
+std::string ProjectedRowKey(const rdf::Binding& row,
+                            const std::vector<std::string>& vars) {
+  std::string key;
+  for (const std::string& var : vars) {
+    auto it = row.find(var);
+    key.push_back(it == row.end() ? '\0' : '\1');
+    if (it != row.end()) rdf::AppendTermKey(it->second, &key);
+  }
+  return key;
+}
+
 }  // namespace
 
 ResultStream::ResultStream(const mapping::RdfMtCatalog& catalog,
@@ -461,13 +474,9 @@ Result<QueryAnswer> ResultStream::RunBlocking(
       std::set<std::string> seen;
       std::vector<rdf::Binding> rows;
       for (rdf::Binding& row : aggregated) {
-        std::string key;
-        for (const std::string& var : answer.variables) {
-          auto it = row.find(var);
-          key += it == row.end() ? std::string("~") : it->second.ToString();
-          key.push_back('\x01');
+        if (seen.insert(ProjectedRowKey(row, answer.variables)).second) {
+          rows.push_back(std::move(row));
         }
-        if (seen.insert(key).second) rows.push_back(std::move(row));
       }
       aggregated = std::move(rows);
     }
@@ -572,13 +581,9 @@ Result<QueryAnswer> ResultStream::RunBlocking(
     std::set<std::string> seen;
     std::vector<rdf::Binding> rows;
     for (rdf::Binding& row : merged.rows) {
-      std::string key;
-      for (const std::string& var : merged.variables) {
-        auto it = row.find(var);
-        key += it == row.end() ? std::string("~") : it->second.ToString();
-        key.push_back('\x01');
+      if (seen.insert(ProjectedRowKey(row, merged.variables)).second) {
+        rows.push_back(std::move(row));
       }
-      if (seen.insert(key).second) rows.push_back(std::move(row));
     }
     merged.rows = std::move(rows);
   }

@@ -6,7 +6,9 @@
 #define LAKEFED_FED_WRAPPER_H_
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -93,6 +95,39 @@ class BatchEmitter {
   std::vector<rdf::Binding> buffer_;
   Status fault_;
   bool open_ = true;
+};
+
+// Dependent-join instantiation membership, checked by wrappers on the
+// rows they produce: a row passes when it binds every instantiated
+// variable to one of the variable's allowed terms. Terms are compared by
+// their rdf::AppendTermKey encodings, so the check is exact term equality.
+class InstantiationFilter {
+ public:
+  explicit InstantiationFilter(const SubQuery& subquery) {
+    for (const auto& [var, terms] : subquery.instantiations) {
+      std::unordered_set<std::string>& set = allowed_[var];
+      for (const rdf::Term& t : terms) {
+        key_.clear();
+        rdf::AppendTermKey(t, &key_);
+        set.insert(key_);
+      }
+    }
+  }
+
+  bool Allows(const rdf::Binding& row) {
+    for (const auto& [var, set] : allowed_) {
+      auto it = row.find(var);
+      if (it == row.end()) return false;
+      key_.clear();
+      rdf::AppendTermKey(it->second, &key_);
+      if (set.count(key_) == 0) return false;
+    }
+    return true;
+  }
+
+ private:
+  std::map<std::string, std::unordered_set<std::string>> allowed_;
+  std::string key_;  // scratch, reused across rows
 };
 
 class SourceWrapper {

@@ -6,11 +6,11 @@
 #define LAKEFED_RDF_BGP_H_
 
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "rdf/binding.h"
 #include "rdf/term.h"
 #include "rdf/triple_store.h"
 
@@ -50,9 +50,6 @@ struct TriplePattern {
   // Variable names used by this pattern.
   std::vector<std::string> Variables() const;
 };
-
-// A solution mapping. std::map for deterministic iteration order.
-using Binding = std::map<std::string, Term>;
 
 // Evaluates the conjunction of `patterns`, invoking `fn` once per solution;
 // return false from `fn` to stop. Patterns are dynamically reordered by

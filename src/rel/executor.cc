@@ -135,8 +135,9 @@ void IndexScanOp::AccumulateCounters(ExecCounters* counters) const {
 // --- FilterOp ----------------------------------------------------------------
 
 FilterOp::FilterOp(PhysOpPtr child, ExprPtr predicate)
-    : child_(std::move(child)), predicate_(std::move(predicate)) {
+    : child_(std::move(child)) {
   schema_ = child_->output_schema();
+  predicate_ = BindColumns(predicate, schema_);
 }
 
 Status FilterOp::Open() { return child_->Open(); }
@@ -161,7 +162,7 @@ ProjectOp::ProjectOp(PhysOpPtr child, std::vector<SelectItem> items)
     : child_(std::move(child)), items_(std::move(items)) {
   std::vector<ColumnDef> columns;
   columns.reserve(items_.size());
-  for (const SelectItem& item : items_) {
+  for (SelectItem& item : items_) {
     // Output types are dynamic; declare STRING/nullable-agnostic metadata by
     // inferring from the child when the item is a plain column reference.
     ColumnDef def{item.alias, ColumnType::kString, true};
@@ -173,6 +174,7 @@ ProjectOp::ProjectOp(PhysOpPtr child, std::vector<SelectItem> items)
       }
     }
     columns.push_back(std::move(def));
+    item.expr = BindColumns(item.expr, child_->output_schema());
   }
   schema_ = Schema(std::move(columns));
 }
@@ -209,7 +211,7 @@ AggregateOp::AggregateOp(PhysOpPtr child, std::vector<std::string> group_by,
       group_by_(std::move(group_by)),
       items_(std::move(items)) {
   std::vector<ColumnDef> columns;
-  for (const SelectItem& item : items_) {
+  for (SelectItem& item : items_) {
     ColumnDef def{item.alias, ColumnType::kString, true};
     switch (item.agg) {
       case AggFunc::kCount:
@@ -230,6 +232,7 @@ AggregateOp::AggregateOp(PhysOpPtr child, std::vector<std::string> group_by,
         break;
     }
     columns.push_back(std::move(def));
+    item.expr = BindColumns(item.expr, child_->output_schema());
   }
   schema_ = Schema(std::move(columns));
 }
@@ -615,6 +618,7 @@ IndexNestedLoopJoinOp::IndexNestedLoopJoinOp(PhysOpPtr outer,
       inner_column_(std::move(inner_column)),
       inner_filter_(std::move(inner_filter)) {
   inner_schema_ = QualifiedSchema(*inner_, inner_alias_);
+  inner_filter_ = BindColumns(inner_filter_, inner_schema_);
   std::vector<ColumnDef> columns = outer_->output_schema().columns();
   for (const ColumnDef& col : inner_schema_.columns()) columns.push_back(col);
   schema_ = Schema(std::move(columns));

@@ -50,6 +50,7 @@ bool Truthy(const Value& v) {
 }  // namespace
 
 Result<Value> ColumnRefExpr::Eval(const Row& row, const Schema& schema) const {
+  if (index_.has_value()) return row[*index_];
   LAKEFED_ASSIGN_OR_RETURN(size_t idx, schema.ColumnIndex(name_));
   return row[idx];
 }
@@ -186,6 +187,44 @@ ExprPtr MakeAndAll(std::vector<ExprPtr> conjuncts) {
   ExprPtr out;
   for (ExprPtr& c : conjuncts) out = MakeAnd(std::move(out), std::move(c));
   return out;
+}
+
+ExprPtr BindColumns(const ExprPtr& expr, const Schema& schema) {
+  if (expr == nullptr) return nullptr;
+  switch (expr->kind()) {
+    case Expr::Kind::kColumnRef: {
+      const auto& ref = static_cast<const ColumnRefExpr&>(*expr);
+      return std::make_shared<ColumnRefExpr>(ref.name(),
+                                             schema.FindColumn(ref.name()));
+    }
+    case Expr::Kind::kLiteral:
+      return expr;
+    case Expr::Kind::kBinary: {
+      const auto& e = static_cast<const BinaryExpr&>(*expr);
+      return MakeBinary(e.op(), BindColumns(e.lhs(), schema),
+                        BindColumns(e.rhs(), schema));
+    }
+    case Expr::Kind::kNot: {
+      const auto& e = static_cast<const NotExpr&>(*expr);
+      return std::make_shared<NotExpr>(BindColumns(e.operand(), schema));
+    }
+    case Expr::Kind::kLike: {
+      const auto& e = static_cast<const LikeExpr&>(*expr);
+      return std::make_shared<LikeExpr>(BindColumns(e.operand(), schema),
+                                        e.pattern(), e.negated());
+    }
+    case Expr::Kind::kIn: {
+      const auto& e = static_cast<const InExpr&>(*expr);
+      return std::make_shared<InExpr>(BindColumns(e.operand(), schema),
+                                      e.values(), e.negated());
+    }
+    case Expr::Kind::kIsNull: {
+      const auto& e = static_cast<const IsNullExpr&>(*expr);
+      return std::make_shared<IsNullExpr>(BindColumns(e.operand(), schema),
+                                          e.negated());
+    }
+  }
+  return expr;
 }
 
 Result<bool> EvalPredicate(const Expr& expr, const Row& row,

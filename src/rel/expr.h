@@ -6,6 +6,7 @@
 #define LAKEFED_REL_EXPR_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,9 +43,13 @@ class Expr {
   virtual void CollectColumns(std::vector<std::string>* out) const = 0;
 };
 
+// A column reference. Unbound, Eval looks the name up in the schema it is
+// given; bound (see BindColumns), it reads its column index directly.
 class ColumnRefExpr : public Expr {
  public:
-  explicit ColumnRefExpr(std::string name) : name_(std::move(name)) {}
+  explicit ColumnRefExpr(std::string name,
+                         std::optional<size_t> index = std::nullopt)
+      : name_(std::move(name)), index_(index) {}
   Kind kind() const override { return Kind::kColumnRef; }
   Result<Value> Eval(const Row& row, const Schema& schema) const override;
   std::string ToString() const override { return name_; }
@@ -52,9 +57,11 @@ class ColumnRefExpr : public Expr {
     out->push_back(name_);
   }
   const std::string& name() const { return name_; }
+  const std::optional<size_t>& index() const { return index_; }
 
  private:
   std::string name_;
+  std::optional<size_t> index_;
 };
 
 class LiteralExpr : public Expr {
@@ -180,6 +187,13 @@ ExprPtr MakeLiteral(Value value);
 ExprPtr MakeBinary(BinaryOp op, ExprPtr lhs, ExprPtr rhs);
 ExprPtr MakeAnd(ExprPtr lhs, ExprPtr rhs);           // either side may be null
 ExprPtr MakeAndAll(std::vector<ExprPtr> conjuncts);  // nullptr if empty
+
+// A copy of `expr` whose column references carry their index in `schema`,
+// so Eval skips the by-name lookup on every row. The copy must only be
+// evaluated against rows of `schema`. References to columns `schema` lacks
+// stay unbound and still fail with NotFound when evaluated. Null in, null
+// out.
+ExprPtr BindColumns(const ExprPtr& expr, const Schema& schema);
 
 // Evaluates `expr` as a predicate: non-zero / non-empty-string = true,
 // NULL = false.

@@ -466,7 +466,9 @@ void QueryService::RunnerMain() {
       }
     }
     if (sub == nullptr) continue;
-    RunOne(sub);
+    Result<fed::QueryAnswer> outcome = RunOne(sub);
+    // The slot is released before the waiter wakes, so stats() read after
+    // Wait() no longer counts this session as running.
     {
       std::lock_guard<std::mutex> lock(mu_);
       --running_;
@@ -476,12 +478,14 @@ void QueryService::RunnerMain() {
       }
       ++tenant_completed_[sub->tenant()];
     }
+    sub->Complete(std::move(outcome));
     // A finished session may unblock a quota-limited tenant: wake everyone.
     cv_.notify_all();
   }
 }
 
-void QueryService::RunOne(const std::shared_ptr<Submission>& sub) {
+Result<fed::QueryAnswer> QueryService::RunOne(
+    const std::shared_ptr<Submission>& sub) {
   const double queue_wait_ms = sub->clock_.ElapsedMillis();
   {
     std::lock_guard<std::mutex> lock(sub->mu_);
@@ -496,9 +500,7 @@ void QueryService::RunOne(const std::shared_ptr<Submission>& sub) {
         *sub->deadline_ - CancellationToken::Clock::now());
     if (remaining.count() <= 0) {
       expired_counter_->Increment();
-      sub->Complete(
-          Status::DeadlineExceeded("deadline expired in admission queue"));
-      return;
+      return Status::DeadlineExceeded("deadline expired in admission queue");
     }
     request.timeout = remaining;
   }
@@ -568,7 +570,7 @@ void QueryService::RunOne(const std::shared_ptr<Submission>& sub) {
     errors_counter_->Increment();
   }
   session_hist_->Record(sub->clock_.ElapsedMillis() - queue_wait_ms);
-  sub->Complete(std::move(outcome));
+  return outcome;
 }
 
 }  // namespace lakefed::svc

@@ -237,7 +237,9 @@ class QueryService {
   std::shared_ptr<Submission> PickLocked(
       std::vector<std::shared_ptr<Submission>>* terminal);
   void RunnerMain();
-  void RunOne(const std::shared_ptr<Submission>& sub);
+  // Runs an admitted submission and returns its outcome; the caller
+  // releases the run slot before completing the submission with it.
+  Result<fed::QueryAnswer> RunOne(const std::shared_ptr<Submission>& sub);
 
   const fed::FederatedEngine* engine_;
   ServiceConfig config_;

@@ -1,7 +1,6 @@
 #include "wrapper/rdf_wrapper.h"
 
 #include <set>
-#include <unordered_set>
 
 namespace lakefed::wrapper {
 
@@ -33,24 +32,15 @@ Status RdfWrapper::Execute(const fed::SubQuery& subquery,
   }
   std::vector<sparql::FilterExprPtr> filters = subquery.SourceFilters();
 
-  // Instantiation sets from dependent joins.
-  std::map<std::string, std::unordered_set<std::string>> allowed;
-  for (const auto& [var, terms] : subquery.instantiations) {
-    auto& set = allowed[var];
-    for (const rdf::Term& t : terms) set.insert(t.ToString());
-  }
+  fed::InstantiationFilter instantiations(subquery);
 
   std::vector<std::string> variables = subquery.Variables();
   fed::BatchEmitter emitter(ctx);
   Status scan = rdf::EvaluateBgpVisit(
       *store_, patterns, [&](const rdf::Binding& binding) {
         if (ctx.token.IsCancelled()) return false;  // stop the scan
-        for (const auto& [var, set] : allowed) {
-          auto it = binding.find(var);
-          if (it == binding.end() || set.count(it->second.ToString()) == 0) {
-            return true;  // rejected, keep scanning
-          }
-        }
+        // Rejected rows keep the scan going.
+        if (!instantiations.Allows(binding)) return true;
         for (const sparql::FilterExprPtr& filter : filters) {
           Result<bool> pass = filter->EvalBool(binding);
           if (!pass.ok() || !*pass) return true;

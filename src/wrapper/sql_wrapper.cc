@@ -1,7 +1,6 @@
 #include "wrapper/sql_wrapper.h"
 
 #include <optional>
-#include <unordered_set>
 
 #include "common/string_util.h"
 
@@ -406,7 +405,9 @@ Result<std::vector<rdf::Binding>> SqlWrapper::FetchAndDecode(
   rows.reserve(result.rows.size());
   for (const rel::Row& row : result.rows) {
     rdf::Binding binding;
+    binding.reserve(tr.variables.size() + tr.fixed.size());
     bool valid = true;
+    // tr.variables is sorted, so every cell appends at the end.
     for (size_t i = 0; i < tr.variables.size(); ++i) {
       const rel::Value& value = row[i];
       if (value.is_null()) {
@@ -414,9 +415,10 @@ Result<std::vector<rdf::Binding>> SqlWrapper::FetchAndDecode(
         break;
       }
       const Translation::Decoder& d = tr.decoders[i];
-      binding[tr.variables[i]] =
-          d.is_subject ? mapping::SubjectFromValue(value, *d.cm)
-                       : mapping::TermFromValue(value, *d.pm);
+      binding.emplace_hint(binding.end(), tr.variables[i],
+                           d.is_subject
+                               ? mapping::SubjectFromValue(value, *d.cm)
+                               : mapping::TermFromValue(value, *d.pm));
     }
     if (!valid) continue;
     for (const auto& [var, term] : tr.fixed) binding[var] = term;
@@ -429,26 +431,13 @@ Status SqlWrapper::ShipRows(
     std::vector<rdf::Binding> rows, const fed::SubQuery& subquery,
     const std::vector<sparql::FilterExprPtr>& residual_filters,
     const fed::WrapperContext& ctx) const {
-  // Instantiation membership sets (re-checked after decoding; also covers
-  // fixed variables that had no SQL column).
-  std::map<std::string, std::unordered_set<std::string>> allowed;
-  for (const auto& [var, terms] : subquery.instantiations) {
-    auto& set = allowed[var];
-    for (const rdf::Term& t : terms) set.insert(t.ToString());
-  }
-
+  // Instantiation membership is re-checked after decoding; this also
+  // covers fixed variables that had no SQL column.
+  fed::InstantiationFilter instantiations(subquery);
   fed::BatchEmitter emitter(ctx);
   for (rdf::Binding& binding : rows) {
     if (ctx.token.IsCancelled()) break;
-    bool valid = true;
-    for (const auto& [var, set] : allowed) {
-      auto it = binding.find(var);
-      if (it == binding.end() || set.count(it->second.ToString()) == 0) {
-        valid = false;
-        break;
-      }
-    }
-    if (!valid) continue;
+    if (!instantiations.Allows(binding)) continue;
     bool pass = true;
     for (const sparql::FilterExprPtr& f : residual_filters) {
       Result<bool> r = f->EvalBool(binding);
@@ -579,9 +568,7 @@ Status SqlWrapper::ExecuteNaiveMerged(const fed::SubQuery& subquery,
           }
         }
         if (!compatible) continue;
-        rdf::Binding merged = left;
-        merged.insert(right.begin(), right.end());
-        next.push_back(std::move(merged));
+        next.push_back(rdf::MergeBindings(left, right));
       }
     }
     joined = std::move(next);

@@ -5,6 +5,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "lslod/vocab.h"
 #include "rdf/ntriples.h"
@@ -25,7 +28,14 @@ std::string ReadFile(const fs::path& path) {
 class ExportTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "lakefed_export_test";
+    // One directory per test and process: ctest -j runs the cases of this
+    // suite concurrently, and each removes its directory on tear-down.
+    dir_ = fs::temp_directory_path() /
+           ("lakefed_export_test_" +
+            std::string(::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()) +
+            "_" + std::to_string(::getpid()));
     fs::remove_all(dir_);
     LakeConfig config;
     config.scale = 0.03;

@@ -8,8 +8,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/status.h"
 #include "common/string_util.h"
@@ -119,7 +122,11 @@ TEST(WriteChromeTraceTest, RoundTripsThroughFile) {
   SpanRecorder recorder(4);
   uint64_t id = recorder.StartSpan("parse");
   recorder.EndSpan(id);
-  std::string path = "obs_trace_export_test_out.json";
+  // Unique per process, so concurrent runs never share the file.
+  std::string path = (std::filesystem::temp_directory_path() /
+                      ("obs_trace_export_test_out_" +
+                       std::to_string(::getpid()) + ".json"))
+                         .string();
   ASSERT_TRUE(WriteChromeTrace(recorder, path).ok());
   std::FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);

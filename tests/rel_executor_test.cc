@@ -132,6 +132,12 @@ TEST_F(ExecutorTest, ErrorsPropagate) {
   EXPECT_TRUE(db_->Execute("SELECT id FROM drug ORDER BY nosuchcol")
                   .status()
                   .IsNotFound());  // unknown ORDER BY column
+  EXPECT_TRUE(db_->Execute("SELECT id FROM drug WHERE nosuchcol = 1")
+                  .status()
+                  .IsNotFound());  // unknown WHERE column
+  EXPECT_TRUE(db_->Execute("SELECT id + nosuchcol FROM drug")
+                  .status()
+                  .IsNotFound());  // unknown column in a projection
 }
 
 TEST_F(ExecutorTest, AmbiguousColumn) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 namespace lakefed::rel {
 namespace {
 
@@ -104,6 +107,55 @@ TEST_F(ExprEvalTest, LikeInIsNull) {
   EXPECT_FALSE(
       Pred(std::make_shared<IsNullExpr>(MakeColumn("name"), false)));
   EXPECT_TRUE(Pred(std::make_shared<IsNullExpr>(MakeColumn("name"), true)));
+}
+
+TEST_F(ExprEvalTest, BindColumnsResolvesIndicesOnce) {
+  ExprPtr col = MakeColumn("score");
+  ExprPtr bound = BindColumns(col, schema_);
+  ASSERT_EQ(bound->kind(), Expr::Kind::kColumnRef);
+  EXPECT_EQ(static_cast<const ColumnRefExpr&>(*bound).index(),
+            std::optional<size_t>(2));
+  // A copy: the unbound original is untouched and renders the same.
+  EXPECT_FALSE(static_cast<const ColumnRefExpr&>(*col).index().has_value());
+  EXPECT_EQ(bound->ToString(), col->ToString());
+  // Bound references read their index, not the schema they are handed.
+  Schema renamed{{{"a", ColumnType::kInt64, false},
+                  {"b", ColumnType::kString, true},
+                  {"c", ColumnType::kDouble, true}}};
+  auto r = bound->Eval(row_, renamed);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_DOUBLE_EQ(r->AsDouble(), 3.5);
+}
+
+TEST_F(ExprEvalTest, BindColumnsEvaluatesLikeUnboundOverEveryKind) {
+  std::vector<ExprPtr> exprs = {
+      MakeBinary(BinaryOp::kAnd,
+                 MakeBinary(BinaryOp::kGt, MakeColumn("id"),
+                            MakeLiteral(Value(int64_t{5}))),
+                 MakeBinary(BinaryOp::kLt, MakeColumn("score"),
+                            MakeLiteral(Value(4.0)))),
+      std::make_shared<NotExpr>(MakeBinary(BinaryOp::kEq, MakeColumn("name"),
+                                           MakeLiteral(Value("bob")))),
+      std::make_shared<LikeExpr>(MakeColumn("name"), "ali%"),
+      std::make_shared<InExpr>(MakeColumn("id"),
+                               std::vector<Value>{Value(int64_t{7})}),
+      std::make_shared<IsNullExpr>(MakeColumn("name"), true),
+      MakeBinary(BinaryOp::kAdd, MakeColumn("id"), MakeColumn("score")),
+  };
+  for (const ExprPtr& e : exprs) {
+    ExprPtr bound = BindColumns(e, schema_);
+    EXPECT_EQ(bound->ToString(), e->ToString());
+    EXPECT_EQ(Eval(bound).ToString(), Eval(e).ToString()) << e->ToString();
+  }
+  EXPECT_EQ(BindColumns(nullptr, schema_), nullptr);
+}
+
+TEST_F(ExprEvalTest, BindColumnsLeavesUnknownColumnsNotFound) {
+  ExprPtr bound = BindColumns(
+      MakeBinary(BinaryOp::kEq, MakeColumn("missing"), MakeColumn("id")),
+      schema_);
+  auto r = bound->Eval(row_, schema_);
+  EXPECT_TRUE(r.status().IsNotFound()) << r.status();
 }
 
 TEST(ExprHelpersTest, SplitConjuncts) {
