@@ -1,8 +1,7 @@
 // CHAOS — tail-latency defense under sustained fault injection, two phases:
 //
-// Phase A (soak): replay a mixed Q1..Q5 workload on both dataflows
-// (thread-per-operator clients and the shared-scheduler QueryService) while
-// every source runs a seeded chaos profile: transient per-message errors,
+// Phase A (soak): replay a mixed Q1..Q5 workload through the QueryService
+// and its shared worker pool while every source runs a seeded chaos profile: transient per-message errors,
 // scripted connection failures and slow-response spikes, with retries,
 // hedging and adaptive timeouts armed. Every answer is digest-checked
 // against a fault-free reference: an unflagged mismatch (a torn, duplicated
@@ -12,11 +11,11 @@
 //
 // Phase B (hedge A/B): a two-replica engine where one replica suffers
 // seeded slow spikes on every message. The same workload runs with hedging
-// off and on, on both dataflows; hedging must cut p99 latency by >= 2x and
-// answers must stay byte-identical.
+// off and on; hedging must cut p99 latency by >= 2x and answers must stay
+// byte-identical.
 //
 // Knobs (on top of the bench_util ones):
-//   LAKEFED_CHAOS_SESSIONS     soak sessions per dataflow (default 500)
+//   LAKEFED_CHAOS_SESSIONS     soak sessions (default 500)
 //   LAKEFED_CHAOS_AB_SESSIONS  A/B sessions per configuration (default 100)
 //   LAKEFED_CHAOS_SEED         chaos schedule seed (default 1)
 //   LAKEFED_CHAOS_SLOW_MS      replica spike size, absolute ms (default 25)
@@ -204,46 +203,15 @@ void TallyAnswer(const std::string& id, const fed::QueryAnswer& answer,
 }
 
 struct SoakResult {
-  std::string mode;
   size_t sessions = 0;
   double wall_s = 0;
   size_t threads_peak = 0;
   SoakTally tally;
 };
 
-// Phase A on the thread-per-operator dataflow: a small pool of client
-// threads issuing engine->Execute directly.
-void SoakThreads(const lslod::DataLake& lake, const fed::PlanOptions& base,
-                 const std::map<std::string, AnswerDigest>& expected,
-                 size_t sessions, std::atomic<uint64_t>* progress,
-                 SoakResult* out) {
-  std::atomic<size_t> next{0};
-  const size_t clients = std::min<size_t>(8, sessions == 0 ? 1 : sessions);
-  std::vector<std::thread> pool;
-  for (size_t c = 0; c < clients; ++c) {
-    pool.emplace_back([&] {
-      for (size_t i = next.fetch_add(1); i < sessions;
-           i = next.fetch_add(1)) {
-        const std::string id = kQueryIds[i % 5];
-        auto answer = lake.engine->Execute(lslod::FindQuery(id)->sparql,
-                                           SoakOptions(base, lake, i));
-        if (!answer.ok()) {
-          ++out->tally.errors;
-          std::fprintf(stderr, "soak threads (%s): %s\n", id.c_str(),
-                       answer.status().ToString().c_str());
-        } else {
-          TallyAnswer(id, *answer, expected, &out->tally);
-        }
-        progress->fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-}
-
-// Phase A on the scheduler dataflow: the whole wave goes through the
-// multi-tenant QueryService and its shared worker pool.
-void SoakScheduler(const lslod::DataLake& lake, const fed::PlanOptions& base,
+// Phase A: the whole wave goes through the multi-tenant QueryService and
+// its shared worker pool.
+void Soak(const lslod::DataLake& lake, const fed::PlanOptions& base,
                    const std::map<std::string, AnswerDigest>& expected,
                    size_t sessions, std::atomic<uint64_t>* progress,
                    SoakResult* out) {
@@ -283,13 +251,11 @@ void SoakScheduler(const lslod::DataLake& lake, const fed::PlanOptions& base,
   service.Shutdown();
 }
 
-void RunSoak(const std::string& mode, const lslod::DataLake& lake,
-             const fed::PlanOptions& base,
+void RunSoak(const lslod::DataLake& lake, const fed::PlanOptions& base,
              const std::map<std::string, AnswerDigest>& expected,
              size_t sessions, std::atomic<uint64_t>* progress,
              SoakResult* out) {
   SoakResult& result = *out;
-  result.mode = mode;
   result.sessions = sessions;
 
   const size_t baseline_threads = CurrentThreadCount();
@@ -306,22 +272,17 @@ void RunSoak(const std::string& mode, const lslod::DataLake& lake,
   });
 
   Stopwatch wall;
-  if (mode == "threads") {
-    SoakThreads(lake, base, expected, sessions, progress, &result);
-  } else {
-    SoakScheduler(lake, base, expected, sessions, progress, &result);
-  }
+  Soak(lake, base, expected, sessions, progress, &result);
   result.wall_s = wall.ElapsedSeconds();
   sampling.store(false);
   sampler.join();
   result.threads_peak = peak_threads.load();
 
   std::printf(
-      "soak %-9s N=%zu: %llu ok, %llu degraded, %llu wrong, %llu errors | "
+      "soak N=%zu: %llu ok, %llu degraded, %llu wrong, %llu errors | "
       "%llu retries, %llu failovers, %llu faults, %llu spikes, %llu hedges, "
       "%llu adaptive | %.2f s, threads peak %zu\n",
-      mode.c_str(), sessions,
-      static_cast<unsigned long long>(result.tally.ok.load()),
+      sessions, static_cast<unsigned long long>(result.tally.ok.load()),
       static_cast<unsigned long long>(result.tally.degraded.load()),
       static_cast<unsigned long long>(result.tally.wrong.load()),
       static_cast<unsigned long long>(result.tally.errors.load()),
@@ -379,7 +340,6 @@ class ReplicaWrapper : public fed::SourceWrapper {
 };
 
 struct AbResult {
-  std::string mode;
   bool hedged = false;
   size_t sessions = 0;
   double p50 = 0, p95 = 0, p99 = 0;
@@ -387,8 +347,8 @@ struct AbResult {
   size_t wrong = 0;
 };
 
-AbResult RunAb(const std::string& mode, bool hedged, size_t sessions,
-               svc::Scheduler* scheduler, std::atomic<uint64_t>* progress) {
+AbResult RunAb(bool hedged, size_t sessions, svc::Scheduler* scheduler,
+               std::atomic<uint64_t>* progress) {
   fed::FederatedEngine engine;
   Status st = engine.RegisterSource(
       std::make_unique<ReplicaWrapper>("replica_slow"));
@@ -402,7 +362,7 @@ AbResult RunAb(const std::string& mode, bool hedged, size_t sessions,
   }
 
   fed::PlanOptions options;
-  options.scheduler = mode == "scheduler" ? scheduler : nullptr;
+  options.scheduler = scheduler;
   // The slow replica spikes on every message; the spike is absolute wall
   // time (LAKEFED_TIME_SCALE does not shrink it) — this is the tail the
   // hedge is meant to cut.
@@ -419,7 +379,6 @@ AbResult RunAb(const std::string& mode, bool hedged, size_t sessions,
 
   AnswerDigest reference;
   AbResult result;
-  result.mode = mode;
   result.hedged = hedged;
   result.sessions = sessions;
   std::vector<double> latency_ms;
@@ -444,9 +403,8 @@ AbResult RunAb(const std::string& mode, bool hedged, size_t sessions,
       }
     } else if (Digest(*answer) != reference) {
       ++result.wrong;
-      std::fprintf(stderr, "A/B (%s, hedged=%d): answer drift at session "
-                           "%zu\n",
-                   mode.c_str(), hedged ? 1 : 0, i);
+      std::fprintf(stderr, "A/B (hedged=%d): answer drift at session %zu\n",
+                   hedged ? 1 : 0, i);
     }
     progress->fetch_add(1);
   }
@@ -455,9 +413,9 @@ AbResult RunAb(const std::string& mode, bool hedged, size_t sessions,
   result.p95 = Percentile(latency_ms, 0.95);
   result.p99 = Percentile(latency_ms, 0.99);
   std::printf(
-      "A/B %-9s hedged=%d N=%zu: p50 %.2f ms, p95 %.2f ms, p99 %.2f ms | "
+      "A/B hedged=%d N=%zu: p50 %.2f ms, p95 %.2f ms, p99 %.2f ms | "
       "%llu hedges fired, %llu wins, %zu wrong\n",
-      mode.c_str(), hedged ? 1 : 0, sessions, result.p50, result.p95,
+      hedged ? 1 : 0, sessions, result.p50, result.p95,
       result.p99, static_cast<unsigned long long>(result.hedges_fired),
       static_cast<unsigned long long>(result.hedge_wins), result.wrong);
   return result;
@@ -469,7 +427,7 @@ void Run() {
       static_cast<size_t>(EnvDouble("LAKEFED_CHAOS_SESSIONS", 500));
   const size_t ab_sessions =
       static_cast<size_t>(EnvDouble("LAKEFED_CHAOS_AB_SESSIONS", 100));
-  std::printf("(chaos_seed=%llu, soak=%zu/dataflow, ab=%zu/config)\n",
+  std::printf("(chaos_seed=%llu, soak=%zu, ab=%zu/config)\n",
               static_cast<unsigned long long>(ChaosSeed()), soak_sessions,
               ab_sessions);
 
@@ -481,85 +439,84 @@ void Run() {
       fed::PlanMode::kPhysicalDesignAware, net::NetworkProfile::Gamma1());
 
   // Fault-free reference digests: the ground truth every chaos answer is
-  // held against.
+  // held against. They run on a pool of their own that is gone before the
+  // soak, so the soak's thread peak counts the service alone.
   std::map<std::string, AnswerDigest> expected;
-  for (const char* id : kQueryIds) {
-    auto answer = lake->engine->Execute(lslod::FindQuery(id)->sparql, base);
-    if (!answer.ok()) {
-      std::fprintf(stderr, "reference run %s failed: %s\n", id,
-                   answer.status().ToString().c_str());
-      std::exit(1);
+  {
+    svc::Scheduler reference_pool;
+    fed::PlanOptions reference_options = base;
+    reference_options.scheduler = &reference_pool;
+    for (const char* id : kQueryIds) {
+      auto answer = lake->engine->Execute(lslod::FindQuery(id)->sparql,
+                                          reference_options);
+      if (!answer.ok()) {
+        std::fprintf(stderr, "reference run %s failed: %s\n", id,
+                     answer.status().ToString().c_str());
+        std::exit(1);
+      }
+      expected[id] = Digest(*answer);
     }
-    expected[id] = Digest(*answer);
   }
 
   BenchJsonEmitter emitter("chaos");
   emitter.config()
       .Set("chaos_seed", ChaosSeed())
-      .Set("soak_sessions_per_dataflow", static_cast<uint64_t>(soak_sessions))
+      .Set("soak_sessions", static_cast<uint64_t>(soak_sessions))
       .Set("ab_sessions", static_cast<uint64_t>(ab_sessions))
       .Set("fault_profile", SoakProfile().ToString())
       .Set("slow_replica_ms", EnvDouble("LAKEFED_CHAOS_SLOW_MS", 25));
 
   // --- Phase A ---
   size_t total_wrong = 0, total_errors = 0;
-  for (const char* mode : {"threads", "scheduler"}) {
-    SoakResult r;
-    RunSoak(mode, *lake, base, expected, soak_sessions, &progress, &r);
-    total_wrong += r.tally.wrong.load();
-    total_errors += r.tally.errors.load();
-    emitter.AddResult()
-        .Set("phase", std::string("soak"))
-        .Set("dataflow", std::string(mode))
-        .Set("sessions", static_cast<uint64_t>(r.sessions))
-        .Set("ok", r.tally.ok.load())
-        .Set("degraded", r.tally.degraded.load())
-        .Set("wrong", r.tally.wrong.load())
-        .Set("errors", r.tally.errors.load())
-        .Set("retries", r.tally.retries.load())
-        .Set("failovers", r.tally.failovers.load())
-        .Set("faults_injected", r.tally.faults.load())
-        .Set("latency_spikes", r.tally.spikes.load())
-        .Set("hedges_fired", r.tally.hedges_fired.load())
-        .Set("adaptive_timeouts", r.tally.adaptive.load())
-        .Set("cache_hits", r.tally.cache_hits.load())
-        .Set("wall_s", r.wall_s)
-        .Set("threads_peak", static_cast<uint64_t>(r.threads_peak));
-  }
+  SoakResult soak;
+  RunSoak(*lake, base, expected, soak_sessions, &progress, &soak);
+  total_wrong += soak.tally.wrong.load();
+  total_errors += soak.tally.errors.load();
+  emitter.AddResult()
+      .Set("phase", std::string("soak"))
+      .Set("dataflow", std::string("scheduler"))
+      .Set("sessions", static_cast<uint64_t>(soak.sessions))
+      .Set("ok", soak.tally.ok.load())
+      .Set("degraded", soak.tally.degraded.load())
+      .Set("wrong", soak.tally.wrong.load())
+      .Set("errors", soak.tally.errors.load())
+      .Set("retries", soak.tally.retries.load())
+      .Set("failovers", soak.tally.failovers.load())
+      .Set("faults_injected", soak.tally.faults.load())
+      .Set("latency_spikes", soak.tally.spikes.load())
+      .Set("hedges_fired", soak.tally.hedges_fired.load())
+      .Set("adaptive_timeouts", soak.tally.adaptive.load())
+      .Set("cache_hits", soak.tally.cache_hits.load())
+      .Set("wall_s", soak.wall_s)
+      .Set("threads_peak", static_cast<uint64_t>(soak.threads_peak));
 
   // --- Phase B ---
-  double worst_speedup = 0;
-  bool first_speedup = true;
   svc::Scheduler scheduler(svc::Scheduler::Config{4, 8});
-  for (const char* mode : {"threads", "scheduler"}) {
-    AbResult off = RunAb(mode, false, ab_sessions, &scheduler, &progress);
-    AbResult on = RunAb(mode, true, ab_sessions, &scheduler, &progress);
-    total_wrong += off.wrong + on.wrong;
-    const double speedup = on.p99 > 0 ? off.p99 / on.p99 : 0;
-    if (first_speedup || speedup < worst_speedup) worst_speedup = speedup;
-    first_speedup = false;
-    std::printf("A/B %-9s: p99 %.2f ms -> %.2f ms (%.1fx)\n", mode, off.p99,
-                on.p99, speedup);
-    for (const AbResult& r : {off, on}) {
-      emitter.AddResult()
-          .Set("phase", std::string("hedge_ab"))
-          .Set("dataflow", r.mode)
-          .Set("hedged", r.hedged)
-          .Set("sessions", static_cast<uint64_t>(r.sessions))
-          .Set("p50_ms", r.p50)
-          .Set("p95_ms", r.p95)
-          .Set("p99_ms", r.p99)
-          .Set("hedges_fired", r.hedges_fired)
-          .Set("hedge_wins", r.hedge_wins)
-          .Set("wrong", static_cast<uint64_t>(r.wrong));
-    }
+  AbResult off = RunAb(false, ab_sessions, &scheduler, &progress);
+  AbResult on = RunAb(true, ab_sessions, &scheduler, &progress);
+  total_wrong += off.wrong + on.wrong;
+  const double speedup = on.p99 > 0 ? off.p99 / on.p99 : 0;
+  std::printf("A/B: p99 %.2f ms -> %.2f ms (%.1fx)\n", off.p99, on.p99,
+              speedup);
+  for (const AbResult& r : {off, on}) {
     emitter.AddResult()
-        .Set("phase", std::string("hedge_ab_summary"))
-        .Set("dataflow", std::string(mode))
-        .Set("p99_unhedged_ms", off.p99)
-        .Set("p99_hedged_ms", on.p99)
-        .Set("p99_speedup", speedup);
+        .Set("phase", std::string("hedge_ab"))
+        .Set("dataflow", std::string("scheduler"))
+        .Set("hedged", r.hedged)
+        .Set("sessions", static_cast<uint64_t>(r.sessions))
+        .Set("p50_ms", r.p50)
+        .Set("p95_ms", r.p95)
+        .Set("p99_ms", r.p99)
+        .Set("hedges_fired", r.hedges_fired)
+        .Set("hedge_wins", r.hedge_wins)
+        .Set("wrong", static_cast<uint64_t>(r.wrong));
   }
+  emitter.AddResult()
+      .Set("phase", std::string("hedge_ab_summary"))
+      .Set("dataflow", std::string("scheduler"))
+      .Set("p99_unhedged_ms", off.p99)
+      .Set("p99_hedged_ms", on.p99)
+      .Set("p99_speedup", speedup);
 
   emitter.Write("BENCH_chaos.json");
 
@@ -568,14 +525,14 @@ void Run() {
                  total_wrong, total_errors);
     std::exit(1);
   }
-  if (worst_speedup < 2.0) {
+  if (speedup < 2.0) {
     std::fprintf(stderr,
                  "error: hedging cut p99 by only %.2fx (need >= 2x)\n",
-                 worst_speedup);
+                 speedup);
     std::exit(1);
   }
   std::printf("chaos soak clean: 0 wrong answers, hedge p99 speedup "
-              ">= %.1fx on both dataflows\n", worst_speedup);
+              "%.1fx\n", speedup);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // throughput, end-to-end latency percentiles and the process thread peak.
 // The point of the shared worker-pool scheduler is that the thread count
 // stays workers + I/O pool + run slots no matter how many sessions are in
-// flight — the historic thread-per-operator dataflow would need
-// O(sessions x operators) threads to do this.
+// flight — a thread per operator would need O(sessions x operators)
+// threads to do this.
 //
 // Every session's answer is checked against a reference execution of the
 // same query (an order-independent content hash + row count): one wrong,
@@ -119,18 +119,26 @@ void Run() {
       ModeOptions(fed::PlanMode::kPhysicalDesignAware,
                   net::NetworkProfile::Gamma1());
 
-  // Reference digests from the historic (thread-per-operator) dataflow:
-  // the service answers must match these exactly.
+  // Reference digests from direct engine sessions: the service answers
+  // must match these exactly. They run on a pool of their own that is
+  // gone before the service starts, so the thread peak below counts the
+  // service alone (the engine's default pool would outlive the references
+  // and sit beside the service's).
   std::map<std::string, AnswerDigest> expected;
-  for (const char* id : kQueryIds) {
-    const lslod::BenchmarkQuery* query = lslod::FindQuery(id);
-    auto answer = lake->engine->Execute(query->sparql, base_options);
-    if (!answer.ok()) {
-      std::fprintf(stderr, "reference run %s failed: %s\n", id,
-                   answer.status().ToString().c_str());
-      std::exit(1);
+  {
+    svc::Scheduler reference_pool;
+    fed::PlanOptions reference_options = base_options;
+    reference_options.scheduler = &reference_pool;
+    for (const char* id : kQueryIds) {
+      const lslod::BenchmarkQuery* query = lslod::FindQuery(id);
+      auto answer = lake->engine->Execute(query->sparql, reference_options);
+      if (!answer.ok()) {
+        std::fprintf(stderr, "reference run %s failed: %s\n", id,
+                     answer.status().ToString().c_str());
+        std::exit(1);
+      }
+      expected[id] = Digest(*answer);
     }
-    expected[id] = Digest(*answer);
   }
 
   // The flight recorder is opt-in; enabled after the reference runs so the

@@ -32,7 +32,8 @@
 //   .failmode failfast|besteffort   unrecoverable-source handling
 //   .pool <n>|off         route queries through the multi-tenant query
 //                         service, operators on an n-worker shared pool
-//                         (off = direct thread-per-operator execution)
+//                         (off = direct engine sessions on the engine's
+//                         own default pool)
 //   .tenants              per-tenant running/queued/completed/quota + service
 //                         admission stats (needs .pool)
 //   .breakers             per-source circuit breaker states
@@ -477,8 +478,8 @@ class Shell {
                   fed::FailureModeToString(options_.failure_mode).c_str());
     } else if (cmd == ".pool") {
       // `.pool <n>` routes executions through the multi-tenant service on
-      // an n-worker shared pool; `.pool off` reverts to the direct
-      // thread-per-operator path; bare `.pool` shows the current state.
+      // an n-worker shared pool; `.pool off` reverts to direct engine
+      // sessions on the engine's own pool; bare `.pool` shows the state.
       if (arg == "off" || arg == "0") {
         pool_on_ = false;
         // Keep the service alive if it hosts the monitoring endpoint;
@@ -511,7 +512,8 @@ class Shell {
         }
       }
       if (!pool_on_ || service_ == nullptr) {
-        std::printf("pool = off (thread-per-operator dataflow)\n");
+        std::printf("pool = off (direct sessions on the engine's default "
+                    "pool)\n");
       } else {
         std::printf("pool = %zu workers, %zu I/O threads, %zu run slots "
                     "(tenant '%s')\n",

@@ -1,6 +1,6 @@
 // BlockingQueue<T>: a bounded multi-producer multi-consumer queue used to
-// connect wrapper threads and physical operator threads in the federated
-// engine (the ANAPSID-style adaptive dataflow).
+// connect leaf jobs, operator tasks and the consuming client in the
+// federated engine (the ANAPSID-style adaptive dataflow).
 //
 // Semantics:
 //  * Push blocks while the queue is full (back-pressure).
@@ -87,7 +87,7 @@ class BlockingQueue {
 
   // The attached observer (null when none). Cooperative tasks use this to
   // report the block time their non-blocking Try* calls cannot measure, so
-  // wait attribution is identical across the blocking and task dataflows.
+  // a parked task's wait is attributed like a blocking call's.
   QueueWaitObserver* wait_observer() const { return observer_.get(); }
 
   // Readiness listeners (the cooperative-scheduler hook): a readable

@@ -60,6 +60,30 @@ CancellationToken::deadline() const {
   return state_->deadline;
 }
 
+CancellationToken CancellationToken::MakeChild(
+    std::optional<Clock::time_point> deadline) const {
+  CancellationToken child = deadline.has_value() ? WithDeadline(*deadline)
+                                                 : Cancellable();
+  if (state_ == nullptr) return child;
+  // The callback lives in the parent's state: a strong capture of the
+  // parent would be a cycle that keeps an uncancelled parent (and every
+  // callback registered on it) alive forever.
+  std::weak_ptr<State> parent = state_;
+  std::weak_ptr<State> weak_child = child.state_;
+  CancellationToken(state_).OnCancel([parent, weak_child] {
+    std::shared_ptr<State> p = parent.lock();
+    std::shared_ptr<State> c = weak_child.lock();
+    if (p == nullptr || c == nullptr) return;
+    Status reason;
+    {
+      std::lock_guard<std::mutex> lock(p->mu);
+      reason = p->reason;
+    }
+    CancellationToken(std::move(c)).CancelWith(std::move(reason));
+  });
+  return child;
+}
+
 void CancellationToken::OnCancel(std::function<void()> fn) {
   if (state_ == nullptr) return;
   {

@@ -58,6 +58,14 @@ class CancellationToken {
 
   std::optional<Clock::time_point> deadline() const;
 
+  // A child token that self-cancels at `deadline` (none = no deadline of
+  // its own) and is cancelled with this token's reason when this token is.
+  // Cancelling the child leaves this token alone. The link holds neither
+  // token strongly, so it pins no state: an uncancelled parent is freed
+  // with its last handle, and a dropped child is simply not cancelled.
+  CancellationToken MakeChild(
+      std::optional<Clock::time_point> deadline) const;
+
   // Registers `fn` to run exactly once upon cancellation — immediately if
   // the token is already cancelled. Callbacks run on the cancelling thread
   // and must not call back into the token. Anything they reference must be

@@ -52,17 +52,10 @@ CancellationToken MakeAttemptToken(const CancellationToken& session,
   if (session_deadline.has_value() && *session_deadline < deadline) {
     deadline = *session_deadline;
   }
-  CancellationToken attempt = CancellationToken::WithDeadline(deadline);
-  if (session.can_cancel()) {
-    // Link: cancelling the session cancels the in-flight attempt with the
-    // session's reason, so teardown is prompt and not misread as a
-    // retryable per-attempt timeout.
-    CancellationToken session_copy = session;
-    session_copy.OnCancel([attempt, session_copy]() mutable {
-      attempt.CancelWith(session_copy.ToStatus());
-    });
-  }
-  return attempt;
+  // Linked: cancelling the session cancels the in-flight attempt with the
+  // session's reason, so teardown is prompt and not misread as a retryable
+  // per-attempt timeout.
+  return session.MakeChild(deadline);
 }
 
 Status RunWithRetry(

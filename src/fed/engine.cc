@@ -198,6 +198,12 @@ Result<std::unique_ptr<ResultStream>> FederatedEngine::CreateSession(
   if (request.options.query_log == nullptr) {
     request.options.query_log = query_log();  // null unless enabled
   }
+  if (request.options.scheduler == nullptr) {
+    std::call_once(scheduler_once_, [this] {
+      scheduler_ = std::make_unique<svc::Scheduler>();
+    });
+    request.options.scheduler = scheduler_.get();
+  }
   // The session's span recorder is created before parsing so the parse
   // phase is the first child of the root "session" span; the stream takes
   // ownership and closes the root at Finish().

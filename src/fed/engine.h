@@ -19,6 +19,11 @@
 // concurrently against one engine. All per-query state lives in the
 // session. Wrappers must tolerate concurrent Execute calls (the bundled
 // ones do: their stores are read-only at query time).
+//
+// Execution: every session runs its operators as tasks on a worker pool —
+// PlanOptions::scheduler when the caller supplies one (the query service
+// does), else the engine's own default-sized pool, created at the first
+// such session and destroyed with the engine.
 
 #ifndef LAKEFED_FED_ENGINE_H_
 #define LAKEFED_FED_ENGINE_H_
@@ -48,6 +53,7 @@
 #include "obs/span.h"
 #include "stats/analyze.h"
 #include "stats/stats_catalog.h"
+#include "svc/scheduler.h"
 
 namespace lakefed::fed {
 
@@ -136,8 +142,9 @@ class FederatedEngine {
                              const PlanOptions& options) const;
 
   // Starts one streaming query session: validates request.options, parses
-  // request.query (unless request.parsed is given), plans, spawns the
-  // dataflow and hands back the live stream. Seals the engine.
+  // request.query (unless request.parsed is given), plans, starts the
+  // dataflow on the worker pool and hands back the live stream. Seals the
+  // engine.
   Result<std::unique_ptr<ResultStream>> CreateSession(
       QueryRequest request) const;
 
@@ -191,6 +198,12 @@ class FederatedEngine {
   mutable std::map<uint64_t, MetricsSampler> samplers_;
   mutable uint64_t next_sampler_token_ = 1;
   mutable std::unique_ptr<obs::QueryLog> query_log_;
+
+  // The default worker pool (PlanOptions::scheduler left null), created on
+  // first use. Declared last so it is destroyed first, before the wrappers
+  // and registries its tasks reach.
+  mutable std::once_flag scheduler_once_;
+  mutable std::unique_ptr<svc::Scheduler> scheduler_;
 };
 
 }  // namespace lakefed::fed

@@ -10,7 +10,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
-#include <thread>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -34,6 +34,11 @@ using RowQueue = BlockingQueue<rdf::Binding>;
 using RowQueuePtr = std::shared_ptr<RowQueue>;
 
 constexpr size_t kQueueCapacity = 4096;
+// Capacity of the queues I/O-pool jobs push into: leaf outputs and the
+// retry, hedge, cache and probe staging queues. An I/O job must never wait
+// on a consumer outside the bounded pool — a client holding an undrained
+// stream would otherwise park pool threads until other sessions starve.
+constexpr size_t kUnbounded = static_cast<size_t>(1) << 30;
 constexpr size_t kDependentJoinBatch = 64;
 
 // Writes the join key of `row` over `vars` into `*key` (the terms'
@@ -69,9 +74,9 @@ std::vector<rdf::Term> DistinctTerms(const std::vector<rdf::Binding>& rows,
 
 // Per-operator runtime recorder: attached as the wait observer of the
 // operator's output queue (so push waits = backpressure on this operator,
-// pop waits = consumer starvation for its output) and fed the operator
-// thread's wall time. Lock-free — callbacks fire from producer and consumer
-// threads concurrently. Also mirrors every wait into the execution-wide
+// pop waits = consumer starvation for its output) and fed the operator's
+// wall time. Lock-free — callbacks fire from producer and consumer threads
+// concurrently. Also mirrors every wait into the execution-wide
 // queue-wait histograms when those are attached.
 class OpRuntimeRec : public QueueWaitObserver {
  public:
@@ -100,7 +105,7 @@ class OpRuntimeRec : public QueueWaitObserver {
     }
   }
 
-  // Operator-thread wall time. Concurrent producers of one queue (UNION
+  // Operator wall time (task or leaf job lifetime). Concurrent producers of one queue (UNION
   // arms) keep the maximum — the arm that finished last bounds the
   // operator's elapsed time.
   void RecordWall(double wall_ms) {
@@ -112,7 +117,7 @@ class OpRuntimeRec : public QueueWaitObserver {
     measured_.store(true, std::memory_order_relaxed);
   }
 
-  // Call after every dataflow thread has joined.
+  // Call after every task and I/O job of the dataflow has finished.
   obs::OperatorRuntime Snapshot(std::string source_id) const {
     obs::OperatorRuntime rt;
     rt.source_id = std::move(source_id);
@@ -156,82 +161,24 @@ class OpRuntimeRec : public QueueWaitObserver {
   std::atomic<bool> measured_{false};
 };
 
-// Accumulates an operator's output rows and pushes them as morsels: one
-// PushBatch per `batch_size` rows in steady state. Operators call Flush()
-// after every consumed input batch, so batching never withholds rows that
-// are ready — output granularity tracks input granularity and the stream
-// keeps the row-at-a-time latency profile. batch_size 1 degenerates to a
-// push per row (the legacy exchange, selectable for A/B runs).
-template <typename T>
-class BatchWriter {
- public:
-  BatchWriter(BlockingQueue<T>* out, size_t batch_size,
-              const CancellationToken& token)
-      : out_(out), cap_(std::max<size_t>(1, batch_size)), token_(token) {}
-
-  // Returns false when the downstream is gone (closed or cancelled) —
-  // the operator must stop producing.
-  bool Add(T row) {
-    if (!open_) return false;
-    buffer_.push_back(std::move(row));
-    if (buffer_.size() >= cap_) open_ = out_->PushBatch(&buffer_, token_);
-    return open_;
-  }
-
-  // Ships whatever has accumulated (partial-batch flush).
-  bool Flush() {
-    if (open_ && !buffer_.empty()) open_ = out_->PushBatch(&buffer_, token_);
-    return open_;
-  }
-
- private:
-  BlockingQueue<T>* out_;
-  const size_t cap_;
-  CancellationToken token_;
-  std::vector<T> buffer_;
-  bool open_ = true;
-};
-
-// RAII wall-time probe for an operator thread: records elapsed time into
-// the recorder at scope exit (null recorder = metrics off, no clock reads).
-class WallTimer {
- public:
-  explicit WallTimer(std::shared_ptr<OpRuntimeRec> rec)
-      : rec_(std::move(rec)) {}
-  ~WallTimer() {
-    if (rec_ != nullptr) rec_->RecordWall(watch_.ElapsedMillis());
-  }
-  WallTimer(const WallTimer&) = delete;
-  WallTimer& operator=(const WallTimer&) = delete;
-
- private:
-  std::shared_ptr<OpRuntimeRec> rec_;
-  Stopwatch watch_;
-};
-
 // ======================================================================
-// Cooperative task dataflow (engaged by PlanOptions::scheduler).
+// Cooperative task dataflow.
 //
-// Every operator below has two equivalent implementations: the historic
-// thread body (StartXxx) and a resumable task (StartXxxTasks) that runs on
-// the shared svc::Scheduler worker pool. A task's Step() does a bounded
-// slice of work — pop up to a few input morsels, compute, push — and parks
-// on BlockingQueue readiness events instead of blocking a thread. Leaf
-// wrapper calls and dependent-join probes, which sleep on the simulated
-// network, run as one-shot jobs on the scheduler's auxiliary I/O pool.
-// The answer multiset is identical on both substrates; only "who blocks"
-// changes.
+// Every operator is a resumable task on the svc::Scheduler worker pool. A
+// task's Step() does a bounded slice of work — pop up to a few input
+// morsels, compute, push — and parks on BlockingQueue readiness events
+// instead of blocking a thread. Leaf wrapper calls and dependent-join
+// probes, which sleep on the simulated network, run as one-shot jobs on
+// the scheduler's auxiliary I/O pool.
 
-// Tag-merged join input (side 0 = left, 1 = right) for the task dataflow;
-// the thread dataflow keeps its local equivalent.
+// Tag-merged join input (side 0 = left, 1 = right).
 struct TaggedRow {
   int side;
   rdf::Binding row;
 };
 
 // Counts an execution's outstanding tasks and I/O jobs so Finish() can
-// wait for all of them — the task-mode analogue of joining the operator
-// threads.
+// wait for all of them.
 class TaskGroup {
  public:
   void Add() {
@@ -253,11 +200,12 @@ class TaskGroup {
   size_t outstanding_ = 0;
 };
 
-// Never-blocking counterpart of BatchWriter: output rows accumulate in an
-// overflow buffer and move into the queue opportunistically, so a task can
-// always finish its Step and report kBlocked instead of stalling a worker
-// on a full queue. Position-based (TryPushBatch) so a partially shipped
-// buffer costs no erases.
+// A task's output side. Rows accumulate in an overflow buffer and move
+// into the queue opportunistically, so a task can always finish its Step
+// and report kBlocked instead of stalling a worker on a full queue.
+// Position-based (TryPushBatch) so a partially shipped buffer costs no
+// erases. Operators flush after every consumed input morsel, so batching
+// never withholds rows that are ready.
 template <typename T>
 class TaskWriter {
  public:
@@ -271,8 +219,7 @@ class TaskWriter {
       : out_(out), cap_(std::max<size_t>(1, batch_size)) {}
 
   // Appends one output row, shipping eagerly at morsel granularity. Rows
-  // added after the downstream closed are dropped (same contract as
-  // BatchWriter::Add returning false).
+  // added after the downstream closed are dropped.
   void Add(T row) {
     if (closed_) return;
     buffer_.push_back(std::move(row));
@@ -320,18 +267,30 @@ constexpr int kTaskSlicesPerStep = 4;
 // output, or nothing for I/O — network time is measured by DelayChannel).
 enum class BlockOn { kNone, kInput, kOutput, kIo };
 
-// Base of every operator task: owns the operator span and the wall clock
-// (construction -> completion — the task analogue of the operator thread's
-// lifetime), counts itself in the execution's TaskGroup, and reports block
-// durations to the waited-on queue's observer so EXPLAIN ANALYZE wait
-// attribution is identical across both dataflows.
-class OpTaskBase : public svc::Task {
+// Base of every operator task: owns the operator span, the wall clock
+// (construction -> completion), the output writer and the done hook,
+// counts itself in the execution's TaskGroup, and reports block durations
+// to the waited-on queue's observer, so EXPLAIN ANALYZE attributes a
+// task's parks like the blocking queue attributes its waits.
+template <typename Out>
+class OpTask : public svc::Task {
  public:
-  OpTaskBase(std::shared_ptr<TaskGroup> group,
-             std::shared_ptr<OpRuntimeRec> wall_rec, obs::Span span)
-      : group_(std::move(group)),
+  // Runs exactly once at completion: close inputs/outputs, decrement arm
+  // countdowns. May be null.
+  using DoneFn = std::function<void()>;
+
+  OpTask(std::shared_ptr<TaskGroup> group,
+         std::shared_ptr<OpRuntimeRec> wall_rec, obs::Span span,
+         std::shared_ptr<BlockingQueue<Out>> out, size_t batch,
+         CancellationToken token, DoneFn done)
+      : writer_(out.get(), batch),
+        batch_(batch),
+        token_(std::move(token)),
+        group_(std::move(group)),
         wall_rec_(std::move(wall_rec)),
-        span_(std::move(span)) {
+        span_(std::move(span)),
+        out_(std::move(out)),
+        done_(std::move(done)) {
     group_->Add();
   }
 
@@ -361,6 +320,40 @@ class OpTaskBase : public svc::Task {
     return svc::TaskResult::kBlocked;
   }
 
+  // Ships the buffered output. Returns what the step must report when it
+  // cannot go on — kBlocked while the downstream is full, kDone once it
+  // closed or once a draining task has shipped everything — and nullopt
+  // when the step may continue.
+  std::optional<svc::TaskResult> Ship() {
+    switch (writer_.TryFlush()) {
+      case TaskWriter<Out>::State::kClosed: return Complete();
+      case TaskWriter<Out>::State::kFull:
+        return Block(BlockOn::kOutput, out_->wait_observer());
+      case TaskWriter<Out>::State::kOk: break;
+    }
+    if (draining_) return Complete();
+    return std::nullopt;
+  }
+
+  // The input is done (exhausted, or LIMIT satisfied): ship the remainder,
+  // then complete.
+  svc::TaskResult Drain() {
+    draining_ = true;
+    return *Ship();
+  }
+
+  svc::TaskResult Complete() {
+    if (done_ != nullptr) {
+      done_();
+      done_ = nullptr;
+    }
+    return svc::TaskResult::kDone;
+  }
+
+  TaskWriter<Out> writer_;
+  const size_t batch_;  // input morsel size
+  CancellationToken token_;
+
  private:
   void AttributeBlock() {
     if (block_obs_ != nullptr) {
@@ -378,20 +371,24 @@ class OpTaskBase : public svc::Task {
   std::shared_ptr<TaskGroup> group_;
   std::shared_ptr<OpRuntimeRec> wall_rec_;
   obs::Span span_;
+  std::shared_ptr<BlockingQueue<Out>> out_;
+  DoneFn done_;
   Stopwatch wall_;
   Stopwatch block_watch_;
   BlockOn blocked_on_ = BlockOn::kNone;
   QueueWaitObserver* block_obs_ = nullptr;
+  bool draining_ = false;  // input done; only the writer remainder is left
   bool completed_ = false;
 };
 
 // Generic streaming operator task: pop a morsel, fold it into the output
 // writer, repeat. Covers every one-input operator (filter, project,
 // distinct, limit, order-by, union arms, the join's forward legs and the
-// join itself) through three hooks.
+// join itself) through two hooks.
 template <typename In, typename Out>
-class RelayTask final : public OpTaskBase {
+class RelayTask final : public OpTask<Out> {
  public:
+  using Base = OpTask<Out>;
   using Writer = TaskWriter<Out>;
   // Folds one popped input morsel into the writer. Returning false stops
   // consuming input early (LIMIT satisfied) — treated like exhaustion.
@@ -399,123 +396,75 @@ class RelayTask final : public OpTaskBase {
   // Runs once when the input is exhausted, before the final flush
   // (ORDER BY emits its sorted buffer here). May be null.
   using FinalizeFn = std::function<void(Writer*)>;
-  // Runs exactly once at completion: close inputs/outputs, decrement arm
-  // countdowns. May be null.
-  using DoneFn = std::function<void()>;
 
   RelayTask(std::shared_ptr<TaskGroup> group,
             std::shared_ptr<OpRuntimeRec> wall_rec, obs::Span span,
             std::shared_ptr<BlockingQueue<In>> in,
             std::shared_ptr<BlockingQueue<Out>> out, size_t batch,
             CancellationToken token, ProcessFn process, FinalizeFn finalize,
-            DoneFn done)
-      : OpTaskBase(std::move(group), std::move(wall_rec), std::move(span)),
+            typename Base::DoneFn done)
+      : Base(std::move(group), std::move(wall_rec), std::move(span),
+             std::move(out), batch, std::move(token), std::move(done)),
         in_(std::move(in)),
-        out_(std::move(out)),
-        writer_(out_.get(), batch),
-        batch_(batch),
-        token_(std::move(token)),
         process_(std::move(process)),
-        finalize_(std::move(finalize)),
-        done_(std::move(done)) {}
+        finalize_(std::move(finalize)) {}
 
  protected:
   svc::TaskResult RunStep() override {
-    switch (writer_.TryFlush()) {
-      case WriterState::kClosed: return Complete();
-      case WriterState::kFull:
-        return Block(BlockOn::kOutput, out_->wait_observer());
-      case WriterState::kOk: break;
-    }
-    if (draining_) return Complete();
+    if (auto r = this->Ship()) return *r;
     for (int slice = 0; slice < kTaskSlicesPerStep; ++slice) {
       // A cancelled pop must not drain residual rows — mirror the
       // token-aware PopBatch, which returns 0 the moment the token fires.
-      if (token_.IsCancelled()) return Complete();
+      if (this->token_.IsCancelled()) return this->Complete();
       bool exhausted = false;
-      const size_t n = in_->TryPopBatch(&in_batch_, batch_, &exhausted);
-      bool stop = false;
-      if (n == 0) {
-        if (!exhausted) return Block(BlockOn::kInput, in_->wait_observer());
-        stop = true;
-      } else {
-        stop = !process_(std::move(in_batch_), &writer_);
-      }
-      if (stop) {
-        if (finalize_ != nullptr) finalize_(&writer_);
-        draining_ = true;
-        switch (writer_.TryFlush()) {
-          case WriterState::kFull:
-            return Block(BlockOn::kOutput, out_->wait_observer());
-          default: return Complete();
+      if (in_->TryPopBatch(&in_batch_, this->batch_, &exhausted) == 0) {
+        if (!exhausted) {
+          return this->Block(BlockOn::kInput, in_->wait_observer());
         }
+        return Finalize();
       }
-      switch (writer_.TryFlush()) {
-        case WriterState::kClosed: return Complete();
-        case WriterState::kFull:
-          return Block(BlockOn::kOutput, out_->wait_observer());
-        case WriterState::kOk: break;
-      }
+      if (!process_(std::move(in_batch_), &this->writer_)) return Finalize();
+      if (auto r = this->Ship()) return *r;
     }
     return svc::TaskResult::kYield;
   }
 
  private:
-  using WriterState = typename TaskWriter<Out>::State;
-
-  svc::TaskResult Complete() {
-    if (done_ != nullptr) {
-      done_();
-      done_ = nullptr;
-    }
-    return svc::TaskResult::kDone;
+  svc::TaskResult Finalize() {
+    if (finalize_ != nullptr) finalize_(&this->writer_);
+    return this->Drain();
   }
 
   std::shared_ptr<BlockingQueue<In>> in_;
-  std::shared_ptr<BlockingQueue<Out>> out_;
-  TaskWriter<Out> writer_;
-  const size_t batch_;
-  CancellationToken token_;
   ProcessFn process_;
   FinalizeFn finalize_;
-  DoneFn done_;
   std::vector<In> in_batch_;
-  bool draining_ = false;  // input done; only the writer remainder is left
 };
 
-// OPTIONAL as a task: phase one materializes the right (optional) side into
-// a hash table, phase two streams the left side through it. Readable events
-// from either input wake the task; the phase decides which queue it reads.
-class LeftJoinTask final : public OpTaskBase {
+// OPTIONAL: the right (optional) side must complete before unmatched left
+// rows can be emitted, so phase one materializes it into a hash table and
+// phase two streams the left side through it. Readable events from either
+// input wake the task; the phase decides which queue it reads.
+class LeftJoinTask final : public OpTask<rdf::Binding> {
  public:
   LeftJoinTask(std::shared_ptr<TaskGroup> group,
                std::shared_ptr<OpRuntimeRec> wall_rec, obs::Span span,
                RowQueuePtr left, RowQueuePtr right, RowQueuePtr out,
                size_t batch, CancellationToken token,
-               std::vector<std::string> join_vars, std::function<void()> done)
-      : OpTaskBase(std::move(group), std::move(wall_rec), std::move(span)),
+               std::vector<std::string> join_vars, DoneFn done)
+      : OpTask(std::move(group), std::move(wall_rec), std::move(span),
+               std::move(out), batch, std::move(token), std::move(done)),
         left_(std::move(left)),
         right_(std::move(right)),
-        out_(std::move(out)),
-        writer_(out_.get(), batch),
-        batch_(batch),
-        token_(std::move(token)),
-        join_vars_(std::move(join_vars)),
-        done_(std::move(done)) {}
+        join_vars_(std::move(join_vars)) {}
 
  protected:
   svc::TaskResult RunStep() override {
-    switch (writer_.TryFlush()) {
-      case WriterState::kClosed: return Complete();
-      case WriterState::kFull:
-        return Block(BlockOn::kOutput, out_->wait_observer());
-      case WriterState::kOk: break;
-    }
-    if (draining_) return Complete();
+    if (auto r = Ship()) return *r;
     for (int slice = 0; slice < kTaskSlicesPerStep; ++slice) {
       if (token_.IsCancelled()) return Complete();
+      bool exhausted = false;
       if (building_) {
-        bool exhausted = false;
         if (right_->TryPopBatch(&in_batch_, batch_, &exhausted) == 0) {
           if (!exhausted) {
             return Block(BlockOn::kInput, right_->wait_observer());
@@ -529,15 +478,9 @@ class LeftJoinTask final : public OpTaskBase {
         }
         continue;
       }
-      bool exhausted = false;
       if (left_->TryPopBatch(&in_batch_, batch_, &exhausted) == 0) {
         if (!exhausted) return Block(BlockOn::kInput, left_->wait_observer());
-        draining_ = true;
-        switch (writer_.TryFlush()) {
-          case WriterState::kFull:
-            return Block(BlockOn::kOutput, out_->wait_observer());
-          default: return Complete();
-        }
+        return Drain();
       }
       for (rdf::Binding& row : in_batch_) {
         auto it = JoinKey(row, join_vars_, &key_) ? table_.find(key_)
@@ -551,40 +494,19 @@ class LeftJoinTask final : public OpTaskBase {
           writer_.Add(MergeBindings(row, extension));
         }
       }
-      switch (writer_.TryFlush()) {
-        case WriterState::kClosed: return Complete();
-        case WriterState::kFull:
-          return Block(BlockOn::kOutput, out_->wait_observer());
-        case WriterState::kOk: break;
-      }
+      if (auto r = Ship()) return *r;
     }
     return svc::TaskResult::kYield;
   }
 
  private:
-  using WriterState = TaskWriter<rdf::Binding>::State;
-
-  svc::TaskResult Complete() {
-    if (done_ != nullptr) {
-      done_();
-      done_ = nullptr;
-    }
-    return svc::TaskResult::kDone;
-  }
-
   RowQueuePtr left_;
   RowQueuePtr right_;
-  RowQueuePtr out_;
-  TaskWriter<rdf::Binding> writer_;
-  const size_t batch_;
-  CancellationToken token_;
   const std::vector<std::string> join_vars_;
-  std::function<void()> done_;
   std::unordered_map<std::string, std::vector<rdf::Binding>> table_;
   std::string key_;  // JoinKey scratch, reused across rows
   std::vector<rdf::Binding> in_batch_;
-  bool building_ = true;   // phase one: materializing the right side
-  bool draining_ = false;  // all input consumed; writer remainder only
+  bool building_ = true;  // phase one: materializing the right side
 };
 
 // Result cell of one dependent-join probe round trip, filled by an I/O-pool
@@ -603,12 +525,14 @@ struct ProbeResult {
   bool ready = false;  // guarded by mu
 };
 
-// Dependent (bind) join as a task: accumulates left rows into a probe
-// window, hands the bound sub-query to the I/O pool, parks, and joins the
-// probe window against the result when woken. The window ramp and probe
-// partitioning replicate the thread implementation exactly, so even the
-// answer order is preserved per probe.
-class DependentJoinTask final : public OpTaskBase {
+// Dependent (bind) join: accumulates left rows into a probe window, hands
+// the bound sub-query to the I/O pool, parks, and joins the probe window
+// against the result when woken. The window ramps from kDependentJoinBatch
+// up to the exchange morsel size: early answers still need only 64 left
+// rows, while long probes amortize the per-call cost (SQL translation +
+// inner scan) over up to batch_size instantiations. Windowing only
+// partitions the probe rows, so the join's binding multiset is unchanged.
+class DependentJoinTask final : public OpTask<rdf::Binding> {
  public:
   using ProbeFn =
       std::function<void(SubQuery, std::shared_ptr<ProbeResult>)>;
@@ -618,32 +542,24 @@ class DependentJoinTask final : public OpTaskBase {
                     RowQueuePtr left, RowQueuePtr out, size_t batch,
                     CancellationToken token,
                     std::vector<std::string> join_vars, SubQuery subquery,
-                    std::function<void()> done)
-      : OpTaskBase(std::move(group), std::move(wall_rec), std::move(span)),
+                    DoneFn done)
+      : OpTask(std::move(group), std::move(wall_rec), std::move(span),
+               std::move(out), batch, std::move(token), std::move(done)),
         left_(std::move(left)),
-        out_(std::move(out)),
-        writer_(out_.get(), batch),
-        batch_(batch),
         max_window_(std::max(batch, kDependentJoinBatch)),
-        token_(std::move(token)),
         join_vars_(std::move(join_vars)),
         bind_var_(join_vars_.front()),
-        subquery_(std::move(subquery)),
-        done_(std::move(done)) {}
+        subquery_(std::move(subquery)) {}
 
   // Installed after registration: the submit closure wakes the task through
-  // its TaskRef, which does not exist at construction time.
+  // its TaskRef, which does not exist at construction time. The closure's
+  // TaskRef -> task cycle ends when the scheduler releases the finished
+  // task.
   void set_probe_fn(ProbeFn fn) { probe_fn_ = std::move(fn); }
 
  protected:
   svc::TaskResult RunStep() override {
-    switch (writer_.TryFlush()) {
-      case WriterState::kClosed: return Complete();
-      case WriterState::kFull:
-        return Block(BlockOn::kOutput, out_->wait_observer());
-      case WriterState::kOk: break;
-    }
-    if (draining_) return Complete();
+    if (auto r = Ship()) return *r;
     for (int slice = 0; slice < kTaskSlicesPerStep; ++slice) {
       if (awaiting_) {
         {
@@ -656,20 +572,8 @@ class DependentJoinTask final : public OpTaskBase {
         if (result_->failed) return Complete();  // error already recorded
         JoinProbe();
         result_.reset();
-        if (final_probe_) {
-          draining_ = true;
-          switch (writer_.TryFlush()) {
-            case WriterState::kFull:
-              return Block(BlockOn::kOutput, out_->wait_observer());
-            default: return Complete();
-          }
-        }
-        switch (writer_.TryFlush()) {
-          case WriterState::kClosed: return Complete();
-          case WriterState::kFull:
-            return Block(BlockOn::kOutput, out_->wait_observer());
-          case WriterState::kOk: break;
-        }
+        if (final_probe_) return Drain();
+        if (auto r = Ship()) return *r;
         continue;
       }
       if (token_.IsCancelled()) return Complete();
@@ -681,20 +585,13 @@ class DependentJoinTask final : public OpTaskBase {
           if (!exhausted) {
             return Block(BlockOn::kInput, left_->wait_observer());
           }
-          if (probe_.empty()) {
-            draining_ = true;
-            switch (writer_.TryFlush()) {
-              case WriterState::kFull:
-                return Block(BlockOn::kOutput, out_->wait_observer());
-              default: return Complete();
-            }
-          }
+          if (probe_.empty()) return Drain();
           final_probe_ = true;
           return LaunchProbe();
         }
       }
-      // Fill the probe window row by row, exactly like the thread loop, so
-      // probe partitions (and thus per-probe output order) are identical.
+      // Fill the probe window row by row, so probe partitions (and thus
+      // per-probe output order) do not depend on input morsel boundaries.
       while (in_pos_ < in_rows_.size() && probe_.size() < window_) {
         probe_.push_back(std::move(in_rows_[in_pos_++]));
       }
@@ -704,8 +601,6 @@ class DependentJoinTask final : public OpTaskBase {
   }
 
  private:
-  using WriterState = TaskWriter<rdf::Binding>::State;
-
   svc::TaskResult LaunchProbe() {
     SubQuery bound = subquery_;
     bound.instantiations[bind_var_] = DistinctTerms(probe_, bind_var_);
@@ -734,26 +629,12 @@ class DependentJoinTask final : public OpTaskBase {
     window_ = std::min(window_ * 2, max_window_);
   }
 
-  svc::TaskResult Complete() {
-    probe_fn_ = nullptr;  // breaks the TaskRef cycle through the closure
-    if (done_ != nullptr) {
-      done_();
-      done_ = nullptr;
-    }
-    return svc::TaskResult::kDone;
-  }
-
   RowQueuePtr left_;
-  RowQueuePtr out_;
-  TaskWriter<rdf::Binding> writer_;
-  const size_t batch_;
   size_t window_ = kDependentJoinBatch;
   const size_t max_window_;
-  CancellationToken token_;
   const std::vector<std::string> join_vars_;
   const std::string bind_var_;
   const SubQuery subquery_;
-  std::function<void()> done_;
   ProbeFn probe_fn_;
   std::vector<rdf::Binding> probe_;
   std::vector<rdf::Binding> in_rows_;
@@ -761,16 +642,15 @@ class DependentJoinTask final : public OpTaskBase {
   std::shared_ptr<ProbeResult> result_;
   bool awaiting_ = false;     // a probe is in flight on the I/O pool
   bool final_probe_ = false;  // input exhausted; this probe is the last
-  bool draining_ = false;
 };
 
 }  // namespace
 
-// Builds the thread/queue dataflow of one plan instance and exposes its
-// root queue. Teardown is two-layered: the cancellation token closes every
-// queue as soon as it fires (waking blocked threads), and Finish() closes
-// them again defensively before joining, so abandoning a stream mid-way can
-// never leave a producer blocked on a full queue.
+// Builds the task/queue dataflow of one plan instance and exposes its root
+// queue. Teardown is two-layered: the cancellation token closes every queue
+// as soon as it fires (waking parked tasks and blocked consumers), and
+// Finish() closes them again defensively before waiting for the tasks, so
+// abandoning a stream mid-way can never leave a producer parked for good.
 class PlanExecution::Impl {
  public:
   Impl(const std::map<std::string, SourceWrapper*>& wrappers,
@@ -825,8 +705,6 @@ class PlanExecution::Impl {
                 ? options_.metrics
                 : &local_metrics_;
     if (options_.collect_metrics) spans_ = options_.spans;
-    sched_ = options_.scheduler;
-    if (sched_ != nullptr) task_group_ = std::make_shared<TaskGroup>();
   }
 
   ~Impl() { Finish(); }
@@ -834,11 +712,15 @@ class PlanExecution::Impl {
   void Start(const FederatedPlan& plan) {
     exec_span_ = obs::Span(spans_, "execute", options_.parent_span);
     exec_span_id_ = exec_span_.id();
-    root_ = sched_ != nullptr ? StartNodeTasks(*plan.root)
-                              : StartNode(*plan.root);
-    // Task mode defers every kick-off (initial wakes, leaf I/O submissions)
-    // until the whole tree is wired: queue readiness listeners must be
-    // frozen before the first producer can push.
+    if (sched_ == nullptr) {
+      RecordError(Status::InvalidArgument(
+          "PlanOptions::scheduler is required to execute a plan"));
+      return;
+    }
+    root_ = StartNode(*plan.root);
+    // Every kick-off (initial wakes, leaf I/O submissions) waits until the
+    // whole tree is wired: queue readiness listeners must be frozen before
+    // the first producer can push.
     for (const std::function<void()>& start : deferred_starts_) start();
     deferred_starts_.clear();
   }
@@ -875,12 +757,9 @@ class PlanExecution::Impl {
   Status Finish() {
     if (finished_) return final_status_;
     CloseAllQueues();
-    for (std::thread& t : threads_) t.join();
-    threads_.clear();
-    // Task mode: closing the queues woke every parked task; wait until all
-    // tasks and I/O jobs of this execution ran to completion (the analogue
-    // of joining the operator threads above).
-    if (task_group_ != nullptr) task_group_->WaitIdle();
+    // Closing the queues woke every parked task; wait until all tasks and
+    // I/O jobs of this execution ran to completion.
+    task_group_->WaitIdle();
     {
       std::lock_guard<std::mutex> lock(mu_);
       final_status_ = error_.ok() ? token_.ToStatus() : error_;
@@ -1145,7 +1024,7 @@ class PlanExecution::Impl {
       return Status::OK();
     }
     if (answer_misses_counter_ != nullptr) answer_misses_counter_->Increment();
-    RowQueue staging(static_cast<size_t>(1) << 30);
+    RowQueue staging(kUnbounded);
     Status st = direct(&staging);
     staging.Close();
     std::vector<rdf::Binding> rows;
@@ -1223,7 +1102,7 @@ class PlanExecution::Impl {
     return RunWithRetry(
         options_.retry, token, rng,
         [&](const CancellationToken& attempt_token) -> Status {
-          RowQueue staging(static_cast<size_t>(1) << 30);
+          RowQueue staging(kUnbounded);
           if (injector != nullptr) {
             LAKEFED_RETURN_NOT_OK(injector->OnConnect(attempt_token));
           }
@@ -1252,7 +1131,7 @@ class PlanExecution::Impl {
   // against the first alternate. The first racer to complete supplies the
   // rows; the loser is cancelled. Each racer stages its rows in a private
   // queue and only the winner's queue is drained into the real sink — by
-  // the launcher thread alone — so downstream operators can never observe
+  // the launcher job alone — so downstream operators can never observe
   // torn or duplicate rows.
 
   // Shared outcome of one racer (primary or hedge).
@@ -1297,19 +1176,7 @@ class PlanExecution::Impl {
   // copied, not just linked — expiry is promoted lazily by whoever observes
   // it, and a racer may be the only thread looking at a clock.
   static CancellationToken MakeLinkedToken(const CancellationToken& session) {
-    std::optional<CancellationToken::Clock::time_point> deadline =
-        session.deadline();
-    CancellationToken child = deadline.has_value()
-                                  ? CancellationToken::WithDeadline(*deadline)
-                                  : CancellationToken::Cancellable();
-    if (session.can_cancel()) {
-      CancellationToken session_copy = session;
-      CancellationToken child_copy = child;
-      session_copy.OnCancel([child_copy, session_copy]() mutable {
-        child_copy.CancelWith(session_copy.ToStatus());
-      });
-    }
-    return child;
+    return session.MakeChild(session.deadline());
   }
 
   // Hedge delay for a leaf whose primary is `source`: multiplier × the
@@ -1424,10 +1291,8 @@ class PlanExecution::Impl {
     auto race = std::make_shared<HedgeRace>();
     race->primary_token = MakeLinkedToken(token);
     race->hedge_token = MakeLinkedToken(token);
-    race->primary_rows = std::make_shared<RowQueue>(static_cast<size_t>(1)
-                                                    << 30);
-    race->hedge_rows = std::make_shared<RowQueue>(static_cast<size_t>(1)
-                                                  << 30);
+    race->primary_rows = std::make_shared<RowQueue>(kUnbounded);
+    race->hedge_rows = std::make_shared<RowQueue>(kUnbounded);
 
     // Hedge-arm retry RNG: derived like the per-leaf RNG but over the hedge
     // source and a distinct salt, so the two racers draw independent,
@@ -1437,9 +1302,9 @@ class PlanExecution::Impl {
       hedge_seed = hedge_seed * 131 + static_cast<uint64_t>(c);
     }
 
-    // The watchdog sleeps out the hedge delay; if the primary is still in
-    // flight it runs the hedge arm itself (so the arm needs no third
-    // thread). Budget is charged only when the hedge actually fires.
+    // The watchdog, an I/O-pool job, sleeps out the hedge delay; if the
+    // primary is still in flight it runs the hedge arm itself (so the arm
+    // needs no third job). Budget is charged only when the hedge actually fires.
     auto watchdog = [this, race, subquery, hedge_source, hedge_seed,
                      delay_ms, parent_span] {
       {
@@ -1491,23 +1356,12 @@ class PlanExecution::Impl {
       }
     };
 
-    std::thread watchdog_thread;  // thread mode only
-    if (sched_ != nullptr) {
-      // Scheduler mode: the watchdog is an I/O-pool job tracked by the
-      // execution's task group (Finish waits for it). The launcher never
-      // blocks on a job that has not started — if the pool is saturated the
-      // job runs late, observes `closed` and exits without launching.
-      std::shared_ptr<TaskGroup> group = task_group_;
-      group->Add();
-      sched_->SubmitIo([group, watchdog] {
-        watchdog();
-        group->Done();
-      });
-    } else {
-      watchdog_thread = std::thread(watchdog);
-    }
+    // The launcher never blocks on a watchdog job that has not started — if
+    // the pool is saturated the job runs late, observes `closed` and exits
+    // without launching.
+    SubmitIo(std::move(watchdog));
 
-    // The primary racer runs inline on the leaf's own thread/job, with the
+    // The primary racer runs inline on the leaf's own job, with the
     // leaf's deterministic retry RNG — an unhedged leaf and a hedged leaf
     // whose hedge never fires replay identical primary schedules.
     RunRacer(subquery, primary_source, race->primary_rows.get(),
@@ -1537,7 +1391,6 @@ class PlanExecution::Impl {
         return !race->hedge_launched || race->hedge_done;
       });
     }
-    if (watchdog_thread.joinable()) watchdog_thread.join();
 
     // Both arms are final; report them, then settle the outcome.
     ResolveRacer(primary_source, race->primary);
@@ -1692,9 +1545,13 @@ class PlanExecution::Impl {
 
   // Creates a node's output queue with an operator-statistics counter (and,
   // when metrics are on, a queue-wait observer) attached — both before any
-  // producer thread starts.
+  // producer starts. Leaves push from I/O-pool jobs, so their queues are
+  // unbounded (see kUnbounded); operator tasks never block on a full queue,
+  // so theirs keep the back-pressure bound.
   NodeQueue MakeOutQueue(const FedPlanNode& node) {
-    auto queue = std::make_shared<RowQueue>(kQueueCapacity);
+    auto queue = std::make_shared<RowQueue>(
+        node.kind == FedPlanNode::Kind::kService ? kUnbounded
+                                                 : kQueueCapacity);
     std::string label = node.Describe();
     if (size_t nl = label.find('\n'); nl != std::string::npos) {
       label = label.substr(0, nl);
@@ -1725,511 +1582,9 @@ class PlanExecution::Impl {
     return {std::move(queue), std::move(runtime)};
   }
 
-  // Spawns the subtree rooted at `node`; returns its output queue.
-  RowQueuePtr StartNode(const FedPlanNode& node) {
-    switch (node.kind) {
-      case FedPlanNode::Kind::kService: return StartService(node);
-      case FedPlanNode::Kind::kJoin: return StartJoin(node);
-      case FedPlanNode::Kind::kLeftJoin: return StartLeftJoin(node);
-      case FedPlanNode::Kind::kDependentJoin: return StartDependentJoin(node);
-      case FedPlanNode::Kind::kUnion: return StartUnion(node);
-      case FedPlanNode::Kind::kFilter: return StartFilter(node);
-      case FedPlanNode::Kind::kProject: return StartProject(node);
-      case FedPlanNode::Kind::kOrderBy: return StartOrderBy(node);
-      case FedPlanNode::Kind::kDistinct: return StartDistinct(node);
-      case FedPlanNode::Kind::kLimit: return StartLimit(node);
-    }
-    auto q = std::make_shared<RowQueue>(kQueueCapacity);
-    q->Close();
-    return q;
-  }
-
-  RowQueuePtr StartService(const FedPlanNode& node) {
-    NodeQueue nq = MakeOutQueue(node);
-    RowQueuePtr out = nq.queue;
-    std::shared_ptr<OpRuntimeRec> rec = nq.runtime;
-    if (FaultTolerant()) {
-      SubQuery subquery = node.subquery;
-      std::vector<std::string> alternates = node.failover_sources;
-      CancellationToken token = token_;
-      threads_.emplace_back([this, subquery, alternates, out, rec, token] {
-        obs::Span op(spans_, "service:" + subquery.source_id, exec_span_id_);
-        WallTimer wall(rec);
-        const uint64_t op_span = op.id();
-        Status st = ExecuteLeafMaybeCached(
-            subquery, out.get(), token, op_span, [&](RowQueue* sink) {
-              return ExecuteLeafWithRecovery(subquery, alternates, sink,
-                                             token, op_span);
-            });
-        if (!st.ok()) HandleLeafFailure(st, token);
-        out->Close();
-      });
-      return out;
-    }
-    auto wrapper = WrapperFor(node.subquery.source_id);
-    if (!wrapper.ok()) {
-      RecordError(wrapper.status());
-      out->Close();
-      return out;
-    }
-    SourceWrapper* w = *wrapper;
-    net::DelayChannel* channel = ChannelFor(node.subquery.source_id);
-    SubQuery subquery = node.subquery;
-    CancellationToken token = token_;
-    threads_.emplace_back([this, w, channel, subquery, out, rec, token] {
-      obs::Span op(spans_, "service:" + subquery.source_id, exec_span_id_);
-      WallTimer wall(rec);
-      const uint64_t op_span = op.id();
-      Status st = ExecuteLeafMaybeCached(
-          subquery, out.get(), token, op_span, [&](RowQueue* sink) {
-            return WrapperCall(w, subquery, channel, sink, token, op_span);
-          });
-      if (!st.ok()) RecordError(st);
-      out->Close();
-    });
-    return out;
-  }
-
-  RowQueuePtr StartJoin(const FedPlanNode& node) {
-    RowQueuePtr left = StartNode(*node.children[0]);
-    RowQueuePtr right = StartNode(*node.children[1]);
-    NodeQueue nq = MakeOutQueue(node);
-    RowQueuePtr out = nq.queue;
-    std::shared_ptr<OpRuntimeRec> rec = nq.runtime;
-
-    // Tag-merge both inputs into one queue so the join thread can react to
-    // whichever side delivers next (the adaptive part of agjoin).
-    struct Tagged {
-      int side;
-      rdf::Binding row;
-    };
-    auto merged = std::make_shared<BlockingQueue<Tagged>>(kQueueCapacity);
-    RegisterQueue(merged);
-    auto active = std::make_shared<std::atomic<int>>(2);
-    CancellationToken token = token_;
-    const size_t batch = batch_;
-    auto forward = [merged, active, token, batch](RowQueuePtr in, int side) {
-      std::vector<rdf::Binding> rows;
-      std::vector<Tagged> tagged;
-      while (in->PopBatch(&rows, batch, token) > 0) {
-        tagged.clear();
-        tagged.reserve(rows.size());
-        for (rdf::Binding& row : rows) tagged.push_back({side, std::move(row)});
-        if (!merged->PushBatch(&tagged, token)) break;
-      }
-      in->Close();
-      if (active->fetch_sub(1) == 1) merged->Close();
-    };
-    threads_.emplace_back(forward, left, 0);
-    threads_.emplace_back(forward, right, 1);
-
-    std::vector<std::string> join_vars = node.join_vars;
-    threads_.emplace_back([this, merged, out, left, right, join_vars, rec,
-                           token, batch] {
-      obs::Span op(spans_, "join", exec_span_id_);
-      WallTimer wall(rec);
-      std::unordered_map<std::string, std::vector<rdf::Binding>> table[2];
-      std::vector<Tagged> in_batch;
-      BatchWriter<rdf::Binding> writer(out.get(), batch, token);
-      std::string key;
-      bool open = true;
-      while (open && merged->PopBatch(&in_batch, batch, token) > 0) {
-        for (Tagged& item : in_batch) {
-          const int side = item.side;
-          const rdf::Binding& row = item.row;
-          if (!JoinKey(row, join_vars, &key)) continue;
-          table[side][key].push_back(row);
-          auto it = table[1 - side].find(key);
-          if (it == table[1 - side].end()) continue;
-          for (const rdf::Binding& other : it->second) {
-            rdf::Binding merged_row = side == 0 ? MergeBindings(row, other)
-                                                : MergeBindings(other, row);
-            if (!writer.Add(std::move(merged_row))) {
-              open = false;
-              break;
-            }
-          }
-          if (!open) break;
-        }
-        if (open) open = writer.Flush();
-      }
-      writer.Flush();
-      merged->Close();
-      left->Close();
-      right->Close();
-      out->Close();
-    });
-    return out;
-  }
-
-  RowQueuePtr StartLeftJoin(const FedPlanNode& node) {
-    // OPTIONAL semantics: the right side (the optional star) must complete
-    // before unmatched left rows can be emitted, so the right input is
-    // materialized into a hash table, then the left streams through.
-    RowQueuePtr left = StartNode(*node.children[0]);
-    RowQueuePtr right = StartNode(*node.children[1]);
-    NodeQueue nq = MakeOutQueue(node);
-    RowQueuePtr out = nq.queue;
-    std::shared_ptr<OpRuntimeRec> rec = nq.runtime;
-    std::vector<std::string> join_vars = node.join_vars;
-    CancellationToken token = token_;
-    const size_t batch = batch_;
-    threads_.emplace_back([this, left, right, out, join_vars, rec, token,
-                           batch] {
-      obs::Span op(spans_, "leftjoin", exec_span_id_);
-      WallTimer wall(rec);
-      std::unordered_map<std::string, std::vector<rdf::Binding>> table;
-      std::vector<rdf::Binding> rows;
-      std::string key;
-      while (right->PopBatch(&rows, batch, token) > 0) {
-        for (rdf::Binding& row : rows) {
-          if (!JoinKey(row, join_vars, &key)) continue;
-          table[key].push_back(std::move(row));
-        }
-      }
-      BatchWriter<rdf::Binding> writer(out.get(), batch, token);
-      bool open = true;
-      while (open && left->PopBatch(&rows, batch, token) > 0) {
-        for (rdf::Binding& row : rows) {
-          auto it = JoinKey(row, join_vars, &key) ? table.find(key)
-                                                  : table.end();
-          if (it == table.end() || it->second.empty()) {
-            // No extension: keep the left row (left-outer semantics).
-            if (!writer.Add(std::move(row))) {
-              open = false;
-              break;
-            }
-            continue;
-          }
-          for (const rdf::Binding& extension : it->second) {
-            if (!writer.Add(MergeBindings(row, extension))) {
-              open = false;
-              break;
-            }
-          }
-          if (!open) break;
-        }
-        if (open) open = writer.Flush();
-      }
-      left->Close();
-      right->Close();
-      out->Close();
-    });
-    return out;
-  }
-
-  RowQueuePtr StartOrderBy(const FedPlanNode& node) {
-    RowQueuePtr in = StartNode(*node.children[0]);
-    NodeQueue nq = MakeOutQueue(node);
-    RowQueuePtr out = nq.queue;
-    std::shared_ptr<OpRuntimeRec> rec = nq.runtime;
-    std::vector<sparql::OrderCondition> order_by = node.order_by;
-    CancellationToken token = token_;
-    const size_t batch = batch_;
-    threads_.emplace_back([this, in, out, order_by, rec, token, batch] {
-      obs::Span op(spans_, "orderby", exec_span_id_);
-      WallTimer wall(rec);
-      std::vector<rdf::Binding> rows;
-      std::vector<rdf::Binding> in_batch;
-      while (in->PopBatch(&in_batch, batch, token) > 0) {
-        for (rdf::Binding& row : in_batch) rows.push_back(std::move(row));
-      }
-      std::stable_sort(
-          rows.begin(), rows.end(),
-          [&](const rdf::Binding& a, const rdf::Binding& b) {
-            for (const sparql::OrderCondition& cond : order_by) {
-              auto ita = a.find(cond.variable);
-              auto itb = b.find(cond.variable);
-              bool ba = ita != a.end(), bb = itb != b.end();
-              int c;
-              if (!ba && !bb) {
-                c = 0;
-              } else if (ba != bb) {
-                c = ba ? 1 : -1;  // unbound sorts first
-              } else {
-                c = sparql::CompareTermsSparql(ita->second, itb->second);
-              }
-              if (c != 0) return cond.ascending ? c < 0 : c > 0;
-            }
-            return false;
-          });
-      BatchWriter<rdf::Binding> writer(out.get(), batch, token);
-      for (rdf::Binding& row : rows) {
-        if (!writer.Add(std::move(row))) break;
-      }
-      writer.Flush();
-      in->Close();
-      out->Close();
-    });
-    return out;
-  }
-
-  RowQueuePtr StartDependentJoin(const FedPlanNode& node) {
-    RowQueuePtr left = StartNode(*node.children[0]);
-    NodeQueue nq = MakeOutQueue(node);
-    RowQueuePtr out = nq.queue;
-    std::shared_ptr<OpRuntimeRec> rec = nq.runtime;
-    auto wrapper = WrapperFor(node.subquery.source_id);
-    if (!wrapper.ok()) {
-      RecordError(wrapper.status());
-      out->Close();
-      return out;
-    }
-    SourceWrapper* w = *wrapper;
-    net::DelayChannel* channel = ChannelFor(node.subquery.source_id);
-    SubQuery subquery = node.subquery;
-    std::vector<std::string> join_vars = node.join_vars;
-    std::vector<std::string> failover = node.failover_sources;
-    CancellationToken token = token_;
-
-    const size_t batch = batch_;
-    threads_.emplace_back([this, w, channel, subquery, join_vars, failover,
-                           left, out, rec, token, batch] {
-      obs::Span op(spans_, "depjoin:" + subquery.source_id, exec_span_id_);
-      WallTimer wall(rec);
-      const uint64_t op_span = op.id();
-      const std::string& bind_var = join_vars.front();
-      // Left rows accumulate into a probe window per instantiated
-      // round trip. The window ramps from kDependentJoinBatch up to the
-      // exchange morsel size: early answers still need only 64 left rows,
-      // while long probes amortize the per-call cost (SQL translation +
-      // inner scan) over up to batch_size instantiations. Windowing only
-      // partitions the probe rows, so the join's binding multiset is
-      // unchanged.
-      size_t window = kDependentJoinBatch;
-      const size_t max_window = std::max(batch, kDependentJoinBatch);
-      std::vector<rdf::Binding> probe;
-      BatchWriter<rdf::Binding> writer(out.get(), batch, token);
-      bool cancelled = false;
-
-      auto flush = [&]() -> bool {
-        if (probe.empty()) return true;
-        if (token.IsCancelled()) return false;
-        SubQuery bound = subquery;
-        bound.instantiations[bind_var] = DistinctTerms(probe, bind_var);
-        // Execute synchronously into a local queue large enough to never
-        // block (we are the only consumer and drain afterwards).
-        RowQueue local(static_cast<size_t>(1) << 30);
-        Status st = ExecuteLeafMaybeCached(
-            bound, &local, token, op_span, [&](RowQueue* sink) {
-              return FaultTolerant()
-                         ? ExecuteLeafWithRecovery(bound, failover, sink,
-                                                   token, op_span)
-                         : WrapperCall(w, bound, channel, sink, token,
-                                       op_span);
-            });
-        if (!st.ok()) {
-          if (FaultTolerant()) {
-            HandleLeafFailure(st, token);
-          } else {
-            RecordError(st);
-          }
-          return false;
-        }
-        local.Close();
-        std::unordered_map<std::string, std::vector<rdf::Binding>> right;
-        std::vector<rdf::Binding> drained;
-        std::string key;
-        while (local.PopBatch(&drained, batch, token) > 0) {
-          for (rdf::Binding& row : drained) {
-            if (!JoinKey(row, join_vars, &key)) continue;
-            right[key].push_back(std::move(row));
-          }
-        }
-        for (const rdf::Binding& lrow : probe) {
-          if (!JoinKey(lrow, join_vars, &key)) continue;
-          auto it = right.find(key);
-          if (it == right.end()) continue;
-          for (const rdf::Binding& rrow : it->second) {
-            if (!writer.Add(MergeBindings(lrow, rrow))) return false;
-          }
-        }
-        probe.clear();
-        return writer.Flush();
-      };
-
-      std::vector<rdf::Binding> in_rows;
-      while (!cancelled && left->PopBatch(&in_rows, batch, token) > 0) {
-        for (rdf::Binding& row : in_rows) {
-          probe.push_back(std::move(row));
-          if (probe.size() >= window) {
-            if (!flush()) {
-              cancelled = true;
-              break;
-            }
-            window = std::min(window * 2, max_window);
-          }
-        }
-      }
-      if (!cancelled) flush();
-      left->Close();
-      out->Close();
-    });
-    return out;
-  }
-
-  RowQueuePtr StartUnion(const FedPlanNode& node) {
-    NodeQueue nq = MakeOutQueue(node);
-    RowQueuePtr out = nq.queue;
-    std::shared_ptr<OpRuntimeRec> rec = nq.runtime;
-    auto active =
-        std::make_shared<std::atomic<int>>(static_cast<int>(
-            node.children.size()));
-    CancellationToken token = token_;
-    const size_t batch = batch_;
-    for (const FedPlanPtr& child : node.children) {
-      RowQueuePtr in = StartNode(*child);
-      threads_.emplace_back([this, in, out, active, rec, token, batch] {
-        obs::Span op(spans_, "union-arm", exec_span_id_);
-        WallTimer wall(rec);
-        std::vector<rdf::Binding> rows;
-        while (in->PopBatch(&rows, batch, token) > 0) {
-          if (!out->PushBatch(&rows, token)) break;
-        }
-        in->Close();
-        if (active->fetch_sub(1) == 1) out->Close();
-      });
-    }
-    return out;
-  }
-
-  RowQueuePtr StartFilter(const FedPlanNode& node) {
-    RowQueuePtr in = StartNode(*node.children[0]);
-    NodeQueue nq = MakeOutQueue(node);
-    RowQueuePtr out = nq.queue;
-    std::shared_ptr<OpRuntimeRec> rec = nq.runtime;
-    std::vector<sparql::FilterExprPtr> filters = node.filters;
-    CancellationToken token = token_;
-    const size_t batch = batch_;
-    threads_.emplace_back([this, in, out, filters, rec, token, batch] {
-      obs::Span op(spans_, "filter", exec_span_id_);
-      WallTimer wall(rec);
-      std::vector<rdf::Binding> rows;
-      BatchWriter<rdf::Binding> writer(out.get(), batch, token);
-      bool open = true;
-      while (open && in->PopBatch(&rows, batch, token) > 0) {
-        for (rdf::Binding& row : rows) {
-          bool pass = true;
-          for (const sparql::FilterExprPtr& f : filters) {
-            Result<bool> r = f->EvalBool(row);
-            // Evaluation errors (unbound variables, bad regex) reject the
-            // solution, matching the reference evaluator.
-            if (!r.ok() || !*r) {
-              pass = false;
-              break;
-            }
-          }
-          if (pass && !writer.Add(std::move(row))) {
-            open = false;
-            break;
-          }
-        }
-        if (open) open = writer.Flush();
-      }
-      in->Close();
-      out->Close();
-    });
-    return out;
-  }
-
-  RowQueuePtr StartProject(const FedPlanNode& node) {
-    RowQueuePtr in = StartNode(*node.children[0]);
-    NodeQueue nq = MakeOutQueue(node);
-    RowQueuePtr out = nq.queue;
-    std::shared_ptr<OpRuntimeRec> rec = nq.runtime;
-    std::vector<std::string> projection = node.projection;
-    CancellationToken token = token_;
-    const size_t batch = batch_;
-    threads_.emplace_back([this, in, out, projection, rec, token, batch] {
-      obs::Span op(spans_, "project", exec_span_id_);
-      WallTimer wall(rec);
-      std::vector<rdf::Binding> rows;
-      BatchWriter<rdf::Binding> writer(out.get(), batch, token);
-      bool open = true;
-      while (open && in->PopBatch(&rows, batch, token) > 0) {
-        for (rdf::Binding& row : rows) {
-          rdf::Binding projected;
-          for (const std::string& v : projection) {
-            auto it = row.find(v);
-            if (it != row.end()) projected.emplace(v, it->second);
-          }
-          if (!writer.Add(std::move(projected))) {
-            open = false;
-            break;
-          }
-        }
-        if (open) open = writer.Flush();
-      }
-      in->Close();
-      out->Close();
-    });
-    return out;
-  }
-
-  RowQueuePtr StartDistinct(const FedPlanNode& node) {
-    RowQueuePtr in = StartNode(*node.children[0]);
-    NodeQueue nq = MakeOutQueue(node);
-    RowQueuePtr out = nq.queue;
-    std::shared_ptr<OpRuntimeRec> rec = nq.runtime;
-    CancellationToken token = token_;
-    const size_t batch = batch_;
-    threads_.emplace_back([this, in, out, rec, token, batch] {
-      obs::Span op(spans_, "distinct", exec_span_id_);
-      WallTimer wall(rec);
-      std::unordered_set<std::string> seen;
-      std::vector<rdf::Binding> rows;
-      BatchWriter<rdf::Binding> writer(out.get(), batch, token);
-      bool open = true;
-      while (open && in->PopBatch(&rows, batch, token) > 0) {
-        for (rdf::Binding& row : rows) {
-          std::string key;
-          rdf::AppendRowKey(row, &key);
-          if (!seen.insert(std::move(key)).second) continue;
-          if (!writer.Add(std::move(row))) {
-            open = false;
-            break;
-          }
-        }
-        if (open) open = writer.Flush();
-      }
-      in->Close();
-      out->Close();
-    });
-    return out;
-  }
-
-  RowQueuePtr StartLimit(const FedPlanNode& node) {
-    RowQueuePtr in = StartNode(*node.children[0]);
-    NodeQueue nq = MakeOutQueue(node);
-    RowQueuePtr out = nq.queue;
-    std::shared_ptr<OpRuntimeRec> rec = nq.runtime;
-    int64_t limit = node.limit;
-    CancellationToken token = token_;
-    const size_t batch = batch_;
-    threads_.emplace_back([this, in, out, limit, rec, token, batch] {
-      obs::Span op(spans_, "limit", exec_span_id_);
-      WallTimer wall(rec);
-      int64_t emitted = 0;
-      std::vector<rdf::Binding> rows;
-      while (emitted < limit) {
-        // Capping the pop at the remaining budget keeps surplus rows in
-        // the input queue, so exactly `limit` rows pass — no torn batch.
-        const size_t want = std::min<size_t>(
-            batch, static_cast<size_t>(limit - emitted));
-        if (in->PopBatch(&rows, want, token) == 0) break;
-        emitted += static_cast<int64_t>(rows.size());
-        if (!out->PushBatch(&rows, token)) break;
-      }
-      in->Close();  // cancels upstream
-      out->Close();
-    });
-    return out;
-  }
-
-  // --- cooperative task dataflow (options_.scheduler != nullptr) --------
-  // One StartXxxTasks per StartXxx, building the same queue topology but
-  // registering scheduler tasks instead of spawning threads. Blocking leaf
-  // legs become I/O-pool jobs with unchanged bodies.
+  // --- dataflow wiring ---------------------------------------------------
+  // Each StartXxx builds one operator's queues and tasks and returns its
+  // output queue.
 
   // Registers `task` and defers its initial wake to the end of Start().
   svc::Scheduler::TaskRef AddTask(std::unique_ptr<svc::Task> task) {
@@ -2253,95 +1608,95 @@ class PlanExecution::Impl {
     queue->AddWritableListener([sched, ref] { sched->Wake(ref); });
   }
 
-  // Defers a one-shot blocking job to the scheduler's I/O pool, tracked by
+  // Runs a one-shot blocking job on the scheduler's I/O pool, tracked by
   // the execution's task group so Finish() waits for it.
-  void SubmitIoJob(std::function<void()> job) {
+  void SubmitIo(std::function<void()> job) {
     task_group_->Add();
-    std::shared_ptr<TaskGroup> group = task_group_;
-    svc::Scheduler* sched = sched_;
-    deferred_starts_.push_back([sched, group, job = std::move(job)] {
-      sched->SubmitIo([group, job] {
-        job();
-        group->Done();
-      });
+    sched_->SubmitIo([group = task_group_, job = std::move(job)] {
+      job();
+      group->Done();
     });
   }
 
-  RowQueuePtr StartNodeTasks(const FedPlanNode& node) {
+  // One leaf sub-query (service scan or bind-join probe) into `sink`,
+  // behind the sub-answer cache: the recovery ladder over `alternates` when
+  // fault tolerance is on, else a direct call of `w` over `channel`.
+  Status ExecuteLeaf(const SubQuery& subquery,
+                     const std::vector<std::string>& alternates,
+                     SourceWrapper* w, net::DelayChannel* channel,
+                     RowQueue* sink, const CancellationToken& token,
+                     uint64_t op_span) {
+    return ExecuteLeafMaybeCached(
+        subquery, sink, token, op_span, [&](RowQueue* out) {
+          return FaultTolerant() ? ExecuteLeafWithRecovery(
+                                       subquery, alternates, out, token,
+                                       op_span)
+                                 : WrapperCall(w, subquery, channel, out,
+                                               token, op_span);
+        });
+  }
+
+  RowQueuePtr StartNode(const FedPlanNode& node) {
     switch (node.kind) {
-      case FedPlanNode::Kind::kService: return StartServiceTasks(node);
-      case FedPlanNode::Kind::kJoin: return StartJoinTasks(node);
-      case FedPlanNode::Kind::kLeftJoin: return StartLeftJoinTasks(node);
-      case FedPlanNode::Kind::kDependentJoin:
-        return StartDependentJoinTasks(node);
-      case FedPlanNode::Kind::kUnion: return StartUnionTasks(node);
-      case FedPlanNode::Kind::kFilter: return StartFilterTasks(node);
-      case FedPlanNode::Kind::kProject: return StartProjectTasks(node);
-      case FedPlanNode::Kind::kOrderBy: return StartOrderByTasks(node);
-      case FedPlanNode::Kind::kDistinct: return StartDistinctTasks(node);
-      case FedPlanNode::Kind::kLimit: return StartLimitTasks(node);
+      case FedPlanNode::Kind::kService: return StartService(node);
+      case FedPlanNode::Kind::kJoin: return StartJoin(node);
+      case FedPlanNode::Kind::kLeftJoin: return StartLeftJoin(node);
+      case FedPlanNode::Kind::kDependentJoin: return StartDependentJoin(node);
+      case FedPlanNode::Kind::kUnion: return StartUnion(node);
+      case FedPlanNode::Kind::kFilter: return StartFilter(node);
+      case FedPlanNode::Kind::kProject: return StartProject(node);
+      case FedPlanNode::Kind::kOrderBy: return StartOrderBy(node);
+      case FedPlanNode::Kind::kDistinct: return StartDistinct(node);
+      case FedPlanNode::Kind::kLimit: return StartLimit(node);
     }
     auto q = std::make_shared<RowQueue>(kQueueCapacity);
     q->Close();
     return q;
   }
 
-  // Leaves keep their exact thread bodies (including the recovery ladder)
-  // but run them as I/O-pool jobs: a wrapper call sleeps on the simulated
-  // network and may block pushing into a full queue, neither of which a
-  // compute worker should sit out.
-  RowQueuePtr StartServiceTasks(const FedPlanNode& node) {
+  // Leaves run as I/O-pool jobs: a wrapper call sleeps on the simulated
+  // network, which no compute worker should sit out. Without fault
+  // tolerance the source is resolved here and called directly; with it
+  // the recovery ladder resolves each candidate at run time.
+  RowQueuePtr StartService(const FedPlanNode& node) {
     NodeQueue nq = MakeOutQueue(node);
     RowQueuePtr out = nq.queue;
-    std::shared_ptr<OpRuntimeRec> rec = nq.runtime;
-    if (FaultTolerant()) {
-      SubQuery subquery = node.subquery;
-      std::vector<std::string> alternates = node.failover_sources;
-      CancellationToken token = token_;
-      SubmitIoJob([this, subquery, alternates, out, rec, token] {
-        obs::Span op(spans_, "service:" + subquery.source_id, exec_span_id_);
-        WallTimer wall(rec);
-        const uint64_t op_span = op.id();
-        Status st = ExecuteLeafMaybeCached(
-            subquery, out.get(), token, op_span, [&](RowQueue* sink) {
-              return ExecuteLeafWithRecovery(subquery, alternates, sink,
-                                             token, op_span);
-            });
-        if (!st.ok()) HandleLeafFailure(st, token);
+    SourceWrapper* w = nullptr;
+    net::DelayChannel* channel = nullptr;
+    if (!FaultTolerant()) {
+      auto wrapper = WrapperFor(node.subquery.source_id);
+      if (!wrapper.ok()) {
+        RecordError(wrapper.status());
         out->Close();
-      });
-      return out;
+        return out;
+      }
+      w = *wrapper;
+      channel = ChannelFor(node.subquery.source_id);
     }
-    auto wrapper = WrapperFor(node.subquery.source_id);
-    if (!wrapper.ok()) {
-      RecordError(wrapper.status());
-      out->Close();
-      return out;
-    }
-    SourceWrapper* w = *wrapper;
-    net::DelayChannel* channel = ChannelFor(node.subquery.source_id);
-    SubQuery subquery = node.subquery;
-    CancellationToken token = token_;
-    SubmitIoJob([this, w, channel, subquery, out, rec, token] {
+    std::function<void()> job = [this, w, channel, subquery = node.subquery,
+                                 alternates = node.failover_sources, out,
+                                 rec = nq.runtime, token = token_] {
       obs::Span op(spans_, "service:" + subquery.source_id, exec_span_id_);
-      WallTimer wall(rec);
-      const uint64_t op_span = op.id();
-      Status st = ExecuteLeafMaybeCached(
-          subquery, out.get(), token, op_span, [&](RowQueue* sink) {
-            return WrapperCall(w, subquery, channel, sink, token, op_span);
-          });
-      if (!st.ok()) RecordError(st);
+      Stopwatch wall;
+      Status st = ExecuteLeaf(subquery, alternates, w, channel, out.get(),
+                              token, op.id());
+      if (!st.ok()) HandleLeafFailure(st, token);
       out->Close();
-    });
+      if (rec != nullptr) rec->RecordWall(wall.ElapsedMillis());
+    };
+    deferred_starts_.push_back(
+        [this, job = std::move(job)] { SubmitIo(job); });
     return out;
   }
 
-  RowQueuePtr StartJoinTasks(const FedPlanNode& node) {
-    RowQueuePtr left = StartNodeTasks(*node.children[0]);
-    RowQueuePtr right = StartNodeTasks(*node.children[1]);
+  RowQueuePtr StartJoin(const FedPlanNode& node) {
+    RowQueuePtr left = StartNode(*node.children[0]);
+    RowQueuePtr right = StartNode(*node.children[1]);
     NodeQueue nq = MakeOutQueue(node);
     RowQueuePtr out = nq.queue;
     std::shared_ptr<OpRuntimeRec> rec = nq.runtime;
+    // Tag-merge both inputs into one queue so the join reacts to whichever
+    // side delivers next (the adaptive part of agjoin).
     auto merged = std::make_shared<BlockingQueue<TaggedRow>>(kQueueCapacity);
     RegisterQueue(merged);
     auto active = std::make_shared<std::atomic<int>>(2);
@@ -2405,9 +1760,9 @@ class PlanExecution::Impl {
     return out;
   }
 
-  RowQueuePtr StartLeftJoinTasks(const FedPlanNode& node) {
-    RowQueuePtr left = StartNodeTasks(*node.children[0]);
-    RowQueuePtr right = StartNodeTasks(*node.children[1]);
+  RowQueuePtr StartLeftJoin(const FedPlanNode& node) {
+    RowQueuePtr left = StartNode(*node.children[0]);
+    RowQueuePtr right = StartNode(*node.children[1]);
     NodeQueue nq = MakeOutQueue(node);
     RowQueuePtr out = nq.queue;
     auto task = std::make_unique<LeftJoinTask>(
@@ -2425,8 +1780,8 @@ class PlanExecution::Impl {
     return out;
   }
 
-  RowQueuePtr StartDependentJoinTasks(const FedPlanNode& node) {
-    RowQueuePtr left = StartNodeTasks(*node.children[0]);
+  RowQueuePtr StartDependentJoin(const FedPlanNode& node) {
+    RowQueuePtr left = StartNode(*node.children[0]);
     NodeQueue nq = MakeOutQueue(node);
     RowQueuePtr out = nq.queue;
     auto wrapper = WrapperFor(node.subquery.source_id);
@@ -2437,14 +1792,11 @@ class PlanExecution::Impl {
     }
     SourceWrapper* w = *wrapper;
     net::DelayChannel* channel = ChannelFor(node.subquery.source_id);
-    SubQuery subquery = node.subquery;
-    std::vector<std::string> failover = node.failover_sources;
-    CancellationToken token = token_;
-    obs::Span op(spans_, "depjoin:" + subquery.source_id, exec_span_id_);
+    obs::Span op(spans_, "depjoin:" + node.subquery.source_id, exec_span_id_);
     const uint64_t op_span = op.id();
     auto task = std::make_unique<DependentJoinTask>(
-        task_group_, nq.runtime, std::move(op), left, out, batch_, token,
-        node.join_vars, subquery, [left, out] {
+        task_group_, nq.runtime, std::move(op), left, out, batch_, token_,
+        node.join_vars, node.subquery, [left, out] {
           left->Close();
           out->Close();
         });
@@ -2453,57 +1805,38 @@ class PlanExecution::Impl {
     WakeOnReadable(left, ref);
     WakeOnWritable(out, ref);
     // Each probe runs the blocking leaf leg on the I/O pool, fills the
-    // result cell and wakes the parked task. Tracked by the task group so
-    // Finish() outlasts in-flight probes.
-    std::shared_ptr<TaskGroup> group = task_group_;
-    svc::Scheduler* sched = sched_;
-    const size_t batch = batch_;
-    t->set_probe_fn([this, w, channel, failover, token, op_span, ref, group,
-                     sched, batch](SubQuery bound,
-                                   std::shared_ptr<ProbeResult> result) {
-      group->Add();
-      sched->SubmitIo([this, w, channel, failover, token, op_span, ref,
-                       group, sched, batch, bound = std::move(bound),
-                       result = std::move(result)]() mutable {
-        // Execute into a local queue large enough to never block (the job
-        // is the only consumer and drains afterwards).
-        RowQueue local(static_cast<size_t>(1) << 30);
-        Status st = ExecuteLeafMaybeCached(
-            bound, &local, token, op_span, [&](RowQueue* sink) {
-              return FaultTolerant()
-                         ? ExecuteLeafWithRecovery(bound, failover, sink,
-                                                   token, op_span)
-                         : WrapperCall(w, bound, channel, sink, token,
-                                       op_span);
-            });
+    // result cell and wakes the parked task.
+    t->set_probe_fn([this, w, channel, alternates = node.failover_sources,
+                     token = token_, op_span,
+                     ref](SubQuery bound, std::shared_ptr<ProbeResult> result) {
+      SubmitIo([this, w, channel, alternates, token, op_span, ref,
+                bound = std::move(bound), result = std::move(result)] {
+        RowQueue local(kUnbounded);
+        Status st = ExecuteLeaf(bound, alternates, w, channel, &local, token,
+                                op_span);
         if (st.ok()) {
           local.Close();
           std::vector<rdf::Binding> drained;
-          while (local.PopBatch(&drained, batch, token) > 0) {
+          while (local.PopBatch(&drained, batch_, token) > 0) {
             for (rdf::Binding& row : drained) {
               result->rows.push_back(std::move(row));
             }
           }
         } else {
-          if (FaultTolerant()) {
-            HandleLeafFailure(st, token);
-          } else {
-            RecordError(st);
-          }
+          HandleLeafFailure(st, token);
           result->failed = true;
         }
         {
           std::lock_guard<std::mutex> lock(result->mu);
           result->ready = true;
         }
-        sched->Wake(ref);
-        group->Done();
+        sched_->Wake(ref);
       });
     });
     return out;
   }
 
-  RowQueuePtr StartUnionTasks(const FedPlanNode& node) {
+  RowQueuePtr StartUnion(const FedPlanNode& node) {
     NodeQueue nq = MakeOutQueue(node);
     RowQueuePtr out = nq.queue;
     std::shared_ptr<OpRuntimeRec> rec = nq.runtime;
@@ -2511,7 +1844,7 @@ class PlanExecution::Impl {
         static_cast<int>(node.children.size()));
     CancellationToken token = token_;
     for (const FedPlanPtr& child : node.children) {
-      RowQueuePtr in = StartNodeTasks(*child);
+      RowQueuePtr in = StartNode(*child);
       auto arm = std::make_unique<RelayTask<rdf::Binding, rdf::Binding>>(
           task_group_, rec, obs::Span(spans_, "union-arm", exec_span_id_),
           in, out, batch_, token,
@@ -2554,8 +1887,8 @@ class PlanExecution::Impl {
     return out;
   }
 
-  RowQueuePtr StartFilterTasks(const FedPlanNode& node) {
-    RowQueuePtr in = StartNodeTasks(*node.children[0]);
+  RowQueuePtr StartFilter(const FedPlanNode& node) {
+    RowQueuePtr in = StartNode(*node.children[0]);
     std::vector<sparql::FilterExprPtr> filters = node.filters;
     return MakeRelay(
         node, "filter", in,
@@ -2578,8 +1911,8 @@ class PlanExecution::Impl {
         });
   }
 
-  RowQueuePtr StartProjectTasks(const FedPlanNode& node) {
-    RowQueuePtr in = StartNodeTasks(*node.children[0]);
+  RowQueuePtr StartProject(const FedPlanNode& node) {
+    RowQueuePtr in = StartNode(*node.children[0]);
     std::vector<std::string> projection = node.projection;
     return MakeRelay(
         node, "project", in,
@@ -2597,8 +1930,8 @@ class PlanExecution::Impl {
         });
   }
 
-  RowQueuePtr StartOrderByTasks(const FedPlanNode& node) {
-    RowQueuePtr in = StartNodeTasks(*node.children[0]);
+  RowQueuePtr StartOrderBy(const FedPlanNode& node) {
+    RowQueuePtr in = StartNode(*node.children[0]);
     std::vector<sparql::OrderCondition> order_by = node.order_by;
     // Materialize in process, sort and emit in finalize — two closures
     // sharing the buffer.
@@ -2635,8 +1968,8 @@ class PlanExecution::Impl {
         });
   }
 
-  RowQueuePtr StartDistinctTasks(const FedPlanNode& node) {
-    RowQueuePtr in = StartNodeTasks(*node.children[0]);
+  RowQueuePtr StartDistinct(const FedPlanNode& node) {
+    RowQueuePtr in = StartNode(*node.children[0]);
     return MakeRelay(
         node, "distinct", in,
         [seen = std::unordered_set<std::string>{}](
@@ -2652,11 +1985,11 @@ class PlanExecution::Impl {
         });
   }
 
-  RowQueuePtr StartLimitTasks(const FedPlanNode& node) {
-    RowQueuePtr in = StartNodeTasks(*node.children[0]);
+  RowQueuePtr StartLimit(const FedPlanNode& node) {
+    RowQueuePtr in = StartNode(*node.children[0]);
     const int64_t limit = node.limit;
     // Returning false once the budget is spent completes the task, whose
-    // done hook closes the input — cancelling upstream like the thread.
+    // done hook closes the input — cancelling upstream.
     return MakeRelay(
         node, "limit", in,
         [limit, emitted = int64_t{0}](std::vector<rdf::Binding>&& rows,
@@ -2679,12 +2012,12 @@ class PlanExecution::Impl {
   RowBatch pending_;
   size_t pending_pos_ = 0;
   RowQueuePtr root_;
-  std::vector<std::thread> threads_;
-  // Task mode (options_.scheduler != nullptr): the shared scheduler, the
+  // The worker pool the tasks run on (PlanOptions::scheduler), the
   // outstanding-work counter Finish() waits on, and the kick-offs deferred
-  // until the tree is fully wired. All empty/null in thread mode.
-  svc::Scheduler* sched_ = nullptr;
-  std::shared_ptr<TaskGroup> task_group_;
+  // until the tree is fully wired.
+  svc::Scheduler* const sched_ = options_.scheduler;
+  const std::shared_ptr<TaskGroup> task_group_ =
+      std::make_shared<TaskGroup>();
   std::vector<std::function<void()>> deferred_starts_;
   std::mutex mu_;
   Status error_;

@@ -1,8 +1,10 @@
-// Execution of federated plans: every service scan and every operator runs
-// on its own thread connected by bounded queues, so answers stream to the
-// client as sources deliver them (ANAPSID's adaptive operator model). The
-// symmetric hash join produces results as soon as tuples arrive from either
-// input — the paper's answer traces (Figure 2) depend on this behaviour.
+// Execution of federated plans: every operator runs as a resumable task on
+// the worker pool named by PlanOptions::scheduler, and every service scan
+// as a job on that pool's I/O threads, connected by queues, so answers
+// stream to the client as sources deliver them (ANAPSID's adaptive operator
+// model). The symmetric hash join produces results as soon as tuples arrive
+// from either input — the paper's answer traces (Figure 2) depend on this
+// behaviour.
 //
 // Operators exchange RowBatch morsels (PlanOptions::batch_size rows, see
 // fed/row_batch.h) rather than single rows, so queue traffic amortizes;
@@ -10,7 +12,7 @@
 // at every batch size.
 //
 // Two entry points:
-//  * PlanExecution — the incremental form: spawn the dataflow, pull
+//  * PlanExecution — the incremental form: start the dataflow, pull
 //    batches (or single rows via the compatibility shim), tear down
 //    cooperatively via a CancellationToken. This is what streaming
 //    sessions (fed/session.h) run on.
@@ -116,7 +118,7 @@ struct QueryAnswer {
   // Parallel to operator_rows: the planner's estimated cardinality of each
   // operator, or -1 when no estimate was made (cost model off).
   std::vector<double> operator_estimates;
-  // Parallel to operator_rows: per-operator runtime accounting (thread wall
+  // Parallel to operator_rows: per-operator runtime accounting (wall
   // time, output-queue waits and occupancy) captured when
   // PlanOptions::collect_metrics is on; default-valued entries otherwise.
   std::vector<obs::OperatorRuntime> operator_runtime;
@@ -130,12 +132,13 @@ struct QueryAnswer {
   std::string OperatorStatsText() const;
 };
 
-// A live, incremental execution of one federated plan: Start() spawns the
-// wrapper/operator threads, Next() pulls rows from the root queue as they
-// are produced, Finish() tears everything down and reports the terminal
-// status. Cancelling the token (or its deadline expiring) closes every
-// queue of the dataflow, so blocked producers, consumers and mid-delay
-// network transfers unwind promptly instead of draining.
+// A live, incremental execution of one federated plan: Start() registers
+// the operator tasks and leaf jobs on PlanOptions::scheduler (required),
+// Next() pulls rows from the root queue as they are produced, Finish()
+// tears everything down and reports the terminal status. Cancelling the
+// token (or its deadline expiring) closes every queue of the dataflow, so
+// parked tasks, blocked consumers and mid-delay network transfers unwind
+// promptly instead of draining.
 class PlanExecution {
  public:
   PlanExecution(const std::map<std::string, SourceWrapper*>& wrappers,
@@ -145,7 +148,7 @@ class PlanExecution {
   PlanExecution(const PlanExecution&) = delete;
   PlanExecution& operator=(const PlanExecution&) = delete;
 
-  // Spawns the dataflow for `plan`. Call exactly once, before Next().
+  // Starts the dataflow for `plan`. Call exactly once, before Next().
   void Start(const FederatedPlan& plan);
 
   // Blocks for the next morsel of root rows (the primary pull API).
@@ -159,7 +162,8 @@ class PlanExecution {
   // interleaved freely with NextBatch() (pending rows are served first).
   std::optional<rdf::Binding> Next();
 
-  // Closes all queues, joins every thread and freezes the statistics.
+  // Closes all queues, waits for every task and I/O job of the dataflow
+  // and freezes the statistics.
   // Idempotent. Returns the first wrapper/operator error if any, otherwise
   // the token's status (kCancelled / kDeadlineExceeded), otherwise OK.
   Status Finish();

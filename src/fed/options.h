@@ -247,14 +247,13 @@ struct PlanOptions {
   std::string tenant;
 
   // ---- Scheduling -----------------------------------------------------
-  // Cooperative task scheduler (not owned; must outlive the session). When
-  // set, the executor runs every operator as a resumable morsel-driven task
-  // on this shared worker pool — blocking wrapper/network legs go to its
-  // auxiliary I/O pool — so the thread count is bounded by the pool, not by
-  // sessions x operators. Null (the default) preserves the historic
-  // thread-per-operator dataflow. The answer multiset is identical either
-  // way; only the execution substrate changes. The query service sets this
-  // for every admitted session.
+  // Worker pool the session's dataflow runs on (not owned; must outlive
+  // the session). Every operator is a resumable morsel-driven task on its
+  // workers, and blocking wrapper/network legs run on its auxiliary I/O
+  // pool, so the thread count is bounded by the pool, not by sessions x
+  // operators. Null = the engine's own pool (FederatedEngine creates one
+  // with the default Scheduler::Config at the first such session). The
+  // query service sets its shared pool for every admitted session.
   svc::Scheduler* scheduler = nullptr;
 
   // Rejects inconsistent option combinations. Called by the engine at

@@ -3,7 +3,7 @@
 // mappings instead of single rows, so the per-transfer costs (queue lock,
 // condition-variable wake-up, wait-observer bookkeeping) amortize over
 // the batch. A batch is just an owning vector of bindings — no shared
-// state, so batches move freely between operator threads.
+// state, so batches move freely between operator tasks.
 //
 // Batch boundaries carry no meaning: consumers must treat a stream of
 // batches exactly like the concatenated stream of rows (partial batches

@@ -61,8 +61,8 @@ struct QueryRequest {
 };
 
 // A live query execution. Created by FederatedEngine::CreateSession; the
-// dataflow (wrapper/operator threads) is already running when the stream is
-// handed out, so Next() simply pulls from the plan's root queue.
+// dataflow (operator tasks and leaf jobs) is already running when the
+// stream is handed out, so Next() simply pulls from the plan's root queue.
 //
 // Two internal modes, chosen from the query shape:
 //  * streaming — plain queries and pure UNIONs: rows surface incrementally
@@ -78,7 +78,7 @@ struct QueryRequest {
 // operator_rows() are stable once Finish() returned.
 class ResultStream {
  public:
-  ~ResultStream();  // cancels if not fully consumed, joins all threads
+  ~ResultStream();  // cancels if not fully consumed, waits for the dataflow
 
   ResultStream(const ResultStream&) = delete;
   ResultStream& operator=(const ResultStream&) = delete;
@@ -101,7 +101,7 @@ class ResultStream {
   // Safe from any thread, idempotent.
   void Cancel();
 
-  // Tears the session down (joining every thread) and returns the terminal
+  // Tears the session down (waiting for every task) and returns the terminal
   // status: OK for a fully drained stream, the first wrapper/operator error,
   // kCancelled after Cancel(), kDeadlineExceeded after an expired deadline.
   // Calling Finish() on a stream that still has rows pending cancels it.
@@ -139,7 +139,7 @@ class ResultStream {
     return operator_estimates_;
   }
 
-  // Per-operator runtime accounting (thread wall time, output-queue waits,
+  // Per-operator runtime accounting (wall time, output-queue waits,
   // occupancy) parallel to operator_rows(). Default-valued entries when
   // collect_metrics is off. Complete after Finish().
   const std::vector<obs::OperatorRuntime>& operator_runtime() const {
@@ -152,7 +152,7 @@ class ResultStream {
   // (or Drain()); render with ToText() / ToJson().
   obs::QueryProfile profile() const;
 
-  // The session's cancellation token (shared with every operator thread).
+  // The session's cancellation token (shared with every operator task).
   CancellationToken token() const { return token_; }
 
   // The session's span recorder (parse -> plan -> execute -> wrapper ->

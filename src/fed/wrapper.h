@@ -195,8 +195,8 @@ class SourceWrapper {
   // Executes `subquery`, shipping answers into `ctx.out` in morsels of up
   // to `ctx.batch_size` rows (BatchEmitter does the bookkeeping); every
   // answer is accounted on `ctx.channel` (network simulation + fault
-  // injection). Blocking; the engine runs it on a dedicated thread and
-  // closes `ctx.out` afterwards. Implementations must stop early when the
+  // injection). Blocking; the engine runs it as a job on the worker pool's
+  // I/O threads and closes `ctx.out` afterwards. Implementations must stop early when the
   // emitter reports a dead downstream (cancellation closes `ctx.out`) and
   // should poll `ctx.token` between answers, returning Status::OK() when
   // stopping because of cancellation — the session derives the terminal

@@ -505,8 +505,8 @@ Result<fed::QueryAnswer> QueryService::RunOne(
     request.timeout = remaining;
   }
   // Execution substrate: run the session's operators on the shared pool
-  // unless configured (or explicitly overridden by the caller) otherwise.
-  if (config_.use_scheduler && request.options.scheduler == nullptr) {
+  // unless the caller named a pool of its own.
+  if (request.options.scheduler == nullptr) {
     request.options.scheduler = &scheduler_;
   }
   // Attribution: every admitted session carries its tenant so the flight

@@ -16,10 +16,9 @@
 //    instead of fail-fast) when enabled.
 //
 // Execution substrate: every admitted session runs its operators on the
-// service's shared svc::Scheduler worker pool (PlanOptions::scheduler), so
-// total thread count is workers + I/O pool + run slots — independent of how
-// many sessions are in flight. `use_scheduler = false` reverts admitted
-// sessions to the historic thread-per-operator dataflow (same answers).
+// service's shared svc::Scheduler worker pool (PlanOptions::scheduler, unless
+// the request names a pool of its own), so total thread count is workers +
+// I/O pool + run slots — independent of how many sessions are in flight.
 //
 // Observability: service gauges (svc.sessions.live,
 // svc.admission.queue_depth), counters (svc.admission.{admitted,shed,
@@ -89,10 +88,6 @@ struct ServiceConfig {
   // Deadline applied to requests that carry none of their own. Queue wait
   // counts against it. nullopt = no default deadline.
   std::optional<std::chrono::milliseconds> default_timeout;
-
-  // Run sessions on the shared scheduler (the point of the service). Off =
-  // the historic thread-per-operator dataflow per session, for A/B runs.
-  bool use_scheduler = true;
 
   // Under queue pressure (depth > max_queued / 2), downgrade batch
   // requests to FailureMode::kBestEffort so they return partial answers

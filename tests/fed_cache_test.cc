@@ -1,7 +1,7 @@
 // Plan & sub-answer cache tests: the invalidation matrix (re-analyze
 // structural epoch, source data-version bump, breaker routing epoch),
-// answer-multiset equality with caching on vs off across both dataflows,
-// and the PR's correctness pins — the instantiation digest in
+// answer-multiset equality with caching on vs off (and with the oracle),
+// and the correctness pins — the instantiation digest in
 // SubQueryStatsKey, the no-fold-back rule for partial best-effort runs and
 // the no-latency-sample rule for cancelled hedge losers.
 
@@ -21,7 +21,6 @@
 #include "fed_test_util.h"
 #include "lslod/queries.h"
 #include "stats/stats_catalog.h"
-#include "svc/scheduler.h"
 
 namespace lakefed::fed {
 namespace {
@@ -240,48 +239,32 @@ TEST(FedCacheTest, CancelledHedgeLoserRecordsNoLatencySample) {
 
 // ---------------------------------------------------------------------------
 // Satellite 4: answers with caching on are the exact multiset of the
-// cache-off baseline for every benchmark query, on both dataflows, for
-// both the cold (populating) and warm (replaying) run.
+// cache-off baseline for every benchmark query, for both the cold
+// (populating) and warm (replaying) run, and the baseline is the
+// single-store oracle's answer.
 
 TEST(FedCacheTest, BenchmarkAnswersMatchCacheOnVsOff) {
   auto lake = BuildTinyLake();
   ASSERT_NE(lake, nullptr);
 
-  struct Dataflow {
-    const char* name;
-    svc::Scheduler* scheduler;
-  };
-  svc::Scheduler sched(svc::Scheduler::Config{2, 6});
-  const std::vector<Dataflow> dataflows = {{"threads", nullptr},
-                                           {"scheduler", &sched}};
-
   uint64_t total_hits = 0;
-  for (const Dataflow& flow : dataflows) {
-    for (const lslod::BenchmarkQuery& query : lslod::BenchmarkQueries()) {
-      PlanOptions off;
-      off.scheduler = flow.scheduler;
-      auto baseline = lake->engine->Execute(query.sparql, off);
-      ASSERT_TRUE(baseline.ok())
-          << flow.name << "/" << query.id << ": " << baseline.status();
-      EXPECT_EQ(baseline->stats.sub_answer_hits, 0u);
-      EXPECT_EQ(baseline->stats.sub_answer_misses, 0u);
-      const std::vector<std::string> expected = SerializeAnswers(*baseline);
+  for (const lslod::BenchmarkQuery& query : lslod::BenchmarkQueries()) {
+    auto baseline = lake->engine->Execute(query.sparql, PlanOptions());
+    ASSERT_TRUE(baseline.ok()) << query.id << ": " << baseline.status();
+    EXPECT_EQ(baseline->stats.sub_answer_hits, 0u);
+    EXPECT_EQ(baseline->stats.sub_answer_misses, 0u);
+    const std::vector<std::string> expected = SerializeAnswers(*baseline);
+    EXPECT_EQ(expected, OracleAnswers(*lake, query.sparql)) << query.id;
 
-      PlanOptions on = CacheOptions();
-      on.scheduler = flow.scheduler;
-      auto cold = lake->engine->Execute(query.sparql, on);
-      ASSERT_TRUE(cold.ok())
-          << flow.name << "/" << query.id << ": " << cold.status();
-      EXPECT_EQ(SerializeAnswers(*cold), expected)
-          << flow.name << "/" << query.id << " (cold)";
+    PlanOptions on = CacheOptions();
+    auto cold = lake->engine->Execute(query.sparql, on);
+    ASSERT_TRUE(cold.ok()) << query.id << ": " << cold.status();
+    EXPECT_EQ(SerializeAnswers(*cold), expected) << query.id << " (cold)";
 
-      auto warm = lake->engine->Execute(query.sparql, on);
-      ASSERT_TRUE(warm.ok())
-          << flow.name << "/" << query.id << ": " << warm.status();
-      EXPECT_EQ(SerializeAnswers(*warm), expected)
-          << flow.name << "/" << query.id << " (warm)";
-      total_hits += warm->stats.sub_answer_hits;
-    }
+    auto warm = lake->engine->Execute(query.sparql, on);
+    ASSERT_TRUE(warm.ok()) << query.id << ": " << warm.status();
+    EXPECT_EQ(SerializeAnswers(*warm), expected) << query.id << " (warm)";
+    total_hits += warm->stats.sub_answer_hits;
   }
   // Warm runs actually replayed from the sub-answer cache somewhere.
   EXPECT_GT(total_hits, 0u);

@@ -2,14 +2,12 @@
 // adaptive per-source timeouts driven by the latency tracker. Replicas in
 // these tests serve byte-identical content, so whichever racer wins the
 // answer multiset must be identical — the no-torn/no-duplicate-rows
-// guarantee under speculative execution. Core scenarios run on both
-// dataflows (thread-per-operator and the shared scheduler).
+// guarantee under speculative execution.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -19,7 +17,6 @@
 
 #include "fed/engine.h"
 #include "fed/latency.h"
-#include "svc/scheduler.h"
 
 namespace lakefed::fed {
 namespace {
@@ -120,176 +117,137 @@ std::map<std::string, int> RowMultiset(const QueryAnswer& answer) {
   return counts;
 }
 
-// Runs `body` once per dataflow: thread-per-operator, then scheduler tasks.
-void ForBothDataflows(
-    const std::function<void(PlanOptions*, const char*)>& body) {
-  {
-    PlanOptions options;
-    body(&options, "threads");
-  }
-  {
-    svc::Scheduler sched(svc::Scheduler::Config{2, 6});
-    PlanOptions options;
-    options.scheduler = &sched;
-    body(&options, "scheduler");
-  }
-}
-
 TEST(FedHedgeTest, SlowPrimaryIsHedgedAndReplicaWins) {
-  ForBothDataflows([](PlanOptions* base, const char* mode) {
-    auto engine = MakeEngine({{"slow", {.rows = 6, .sleep_ms_per_row = 50}},
-                              {"fast", {.rows = 6}}});
-    ASSERT_NE(engine, nullptr) << mode;
-    PlanOptions options = HedgeOptions(5);
-    options.scheduler = base->scheduler;
+  auto engine = MakeEngine({{"slow", {.rows = 6, .sleep_ms_per_row = 50}},
+                            {"fast", {.rows = 6}}});
+  ASSERT_NE(engine, nullptr);
+  PlanOptions options = HedgeOptions(5);
 
-    auto answer = engine->Execute(kStarQuery, options);
-    ASSERT_TRUE(answer.ok()) << mode << ": " << answer.status();
-    // Union of two replicas: each arm ships the full shared content once,
-    // whichever racer delivered it.
-    EXPECT_EQ(answer->rows.size(), 12u) << mode;
-    for (const auto& [row, count] : RowMultiset(*answer)) {
-      EXPECT_EQ(count, 2) << mode << ": " << row;
-    }
-    // The slow arm ran ~50 ms/row past the 5 ms hedge delay: its hedge
-    // fired and the fast replica won the race.
-    EXPECT_GE(answer->stats.hedges_fired, 1u) << mode;
-    EXPECT_GE(answer->stats.hedge_wins, 1u) << mode;
-    EXPECT_NE(answer->OperatorStatsText().find("tail tolerance:"),
-              std::string::npos)
-        << mode;
-  });
+  auto answer = engine->Execute(kStarQuery, options);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  // Union of two replicas: each arm ships the full shared content once,
+  // whichever racer delivered it.
+  EXPECT_EQ(answer->rows.size(), 12u);
+  for (const auto& [row, count] : RowMultiset(*answer)) {
+    EXPECT_EQ(count, 2) << row;
+  }
+  // The slow arm ran ~50 ms/row past the 5 ms hedge delay: its hedge
+  // fired and the fast replica won the race.
+  EXPECT_GE(answer->stats.hedges_fired, 1u);
+  EXPECT_GE(answer->stats.hedge_wins, 1u);
+  EXPECT_NE(answer->OperatorStatsText().find("tail tolerance:"),
+            std::string::npos);
 }
 
 TEST(FedHedgeTest, PrimaryWinsAndLosingHedgeIsCancelled) {
-  ForBothDataflows([](PlanOptions* base, const char* mode) {
-    // Both replicas are slow enough to trigger hedging, but the hedge
-    // target is 10x slower than either primary: the primary always wins
-    // and the speculative racer is cancelled mid-flight.
-    auto engine = MakeEngine({{"a", {.rows = 6, .sleep_ms_per_row = 20}},
-                              {"b", {.rows = 6, .sleep_ms_per_row = 200}}});
-    ASSERT_NE(engine, nullptr) << mode;
-    PlanOptions options = HedgeOptions(5);
-    options.scheduler = base->scheduler;
+  // Both replicas are slow enough to trigger hedging, but the hedge
+  // target is 10x slower than either primary: the primary always wins
+  // and the speculative racer is cancelled mid-flight.
+  auto engine = MakeEngine({{"a", {.rows = 6, .sleep_ms_per_row = 20}},
+                            {"b", {.rows = 6, .sleep_ms_per_row = 200}}});
+  ASSERT_NE(engine, nullptr);
+  PlanOptions options = HedgeOptions(5);
 
-    auto answer = engine->Execute(kStarQuery, options);
-    ASSERT_TRUE(answer.ok()) << mode << ": " << answer.status();
-    EXPECT_EQ(answer->rows.size(), 12u) << mode;
-    for (const auto& [row, count] : RowMultiset(*answer)) {
-      EXPECT_EQ(count, 2) << mode << ": " << row;
-    }
-    EXPECT_GE(answer->stats.hedges_fired, 1u) << mode;
-    // Arm a's hedge (against the 10x slower b) lost and was cancelled.
-    EXPECT_GE(answer->stats.hedges_cancelled, 1u) << mode;
-  });
+  auto answer = engine->Execute(kStarQuery, options);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(answer->rows.size(), 12u);
+  for (const auto& [row, count] : RowMultiset(*answer)) {
+    EXPECT_EQ(count, 2) << row;
+  }
+  EXPECT_GE(answer->stats.hedges_fired, 1u);
+  // Arm a's hedge (against the 10x slower b) lost and was cancelled.
+  EXPECT_GE(answer->stats.hedges_cancelled, 1u);
 }
 
 TEST(FedHedgeTest, FastPrimaryNeverHedges) {
-  ForBothDataflows([](PlanOptions* base, const char* mode) {
-    auto engine = MakeEngine({{"a", {.rows = 6}}, {"b", {.rows = 6}}});
-    ASSERT_NE(engine, nullptr) << mode;
-    PlanOptions options = HedgeOptions(5'000);  // far beyond any leaf
-    options.scheduler = base->scheduler;
+  auto engine = MakeEngine({{"a", {.rows = 6}}, {"b", {.rows = 6}}});
+  ASSERT_NE(engine, nullptr);
+  PlanOptions options = HedgeOptions(5'000);  // far beyond any leaf
 
-    auto answer = engine->Execute(kStarQuery, options);
-    ASSERT_TRUE(answer.ok()) << mode << ": " << answer.status();
-    EXPECT_EQ(answer->rows.size(), 12u) << mode;
-    EXPECT_EQ(answer->stats.hedges_fired, 0u) << mode;
-    EXPECT_EQ(answer->stats.hedge_wins, 0u) << mode;
-    EXPECT_EQ(answer->stats.hedges_cancelled, 0u) << mode;
-    EXPECT_EQ(answer->OperatorStatsText().find("tail tolerance:"),
-              std::string::npos)
-        << mode;
-  });
+  auto answer = engine->Execute(kStarQuery, options);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(answer->rows.size(), 12u);
+  EXPECT_EQ(answer->stats.hedges_fired, 0u);
+  EXPECT_EQ(answer->stats.hedge_wins, 0u);
+  EXPECT_EQ(answer->stats.hedges_cancelled, 0u);
+  EXPECT_EQ(answer->OperatorStatsText().find("tail tolerance:"),
+            std::string::npos);
 }
 
 TEST(FedHedgeTest, PerQueryBudgetLimitsSpeculation) {
-  ForBothDataflows([](PlanOptions* base, const char* mode) {
-    // Both arms are slow, so both want to hedge — but the query budget
-    // admits exactly one speculative launch; the other is suppressed.
-    auto engine = MakeEngine({{"a", {.rows = 4, .sleep_ms_per_row = 50}},
-                              {"b", {.rows = 4, .sleep_ms_per_row = 50}}});
-    ASSERT_NE(engine, nullptr) << mode;
-    PlanOptions options = HedgeOptions(5);
-    options.hedge.max_per_query = 1;
-    options.scheduler = base->scheduler;
+  // Both arms are slow, so both want to hedge — but the query budget
+  // admits exactly one speculative launch; the other is suppressed.
+  auto engine = MakeEngine({{"a", {.rows = 4, .sleep_ms_per_row = 50}},
+                            {"b", {.rows = 4, .sleep_ms_per_row = 50}}});
+  ASSERT_NE(engine, nullptr);
+  PlanOptions options = HedgeOptions(5);
+  options.hedge.max_per_query = 1;
 
-    auto answer = engine->Execute(kStarQuery, options);
-    ASSERT_TRUE(answer.ok()) << mode << ": " << answer.status();
-    EXPECT_EQ(answer->rows.size(), 8u) << mode;
-    for (const auto& [row, count] : RowMultiset(*answer)) {
-      EXPECT_EQ(count, 2) << mode << ": " << row;
-    }
-    EXPECT_EQ(answer->stats.hedges_fired, 1u) << mode;
-    EXPECT_EQ(answer->stats.hedges_suppressed, 1u) << mode;
-  });
+  auto answer = engine->Execute(kStarQuery, options);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(answer->rows.size(), 8u);
+  for (const auto& [row, count] : RowMultiset(*answer)) {
+    EXPECT_EQ(count, 2) << row;
+  }
+  EXPECT_EQ(answer->stats.hedges_fired, 1u);
+  EXPECT_EQ(answer->stats.hedges_suppressed, 1u);
 }
 
 TEST(FedHedgeTest, PerSourceBudgetZeroSuppressesAllHedges) {
-  ForBothDataflows([](PlanOptions* base, const char* mode) {
-    auto engine = MakeEngine({{"a", {.rows = 4, .sleep_ms_per_row = 30}},
-                              {"b", {.rows = 4, .sleep_ms_per_row = 30}}});
-    ASSERT_NE(engine, nullptr) << mode;
-    PlanOptions options = HedgeOptions(5);
-    options.hedge.max_per_source = 0;
-    options.scheduler = base->scheduler;
+  auto engine = MakeEngine({{"a", {.rows = 4, .sleep_ms_per_row = 30}},
+                            {"b", {.rows = 4, .sleep_ms_per_row = 30}}});
+  ASSERT_NE(engine, nullptr);
+  PlanOptions options = HedgeOptions(5);
+  options.hedge.max_per_source = 0;
 
-    auto answer = engine->Execute(kStarQuery, options);
-    ASSERT_TRUE(answer.ok()) << mode << ": " << answer.status();
-    EXPECT_EQ(answer->rows.size(), 8u) << mode;
-    EXPECT_EQ(answer->stats.hedges_fired, 0u) << mode;
-    EXPECT_EQ(answer->stats.hedges_suppressed, 2u) << mode;
-  });
+  auto answer = engine->Execute(kStarQuery, options);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(answer->rows.size(), 8u);
+  EXPECT_EQ(answer->stats.hedges_fired, 0u);
+  EXPECT_EQ(answer->stats.hedges_suppressed, 2u);
 }
 
 TEST(FedHedgeTest, BothRacersFailingFallsBackToRecoveryLadder) {
-  ForBothDataflows([](PlanOptions* base, const char* mode) {
-    // a and b fail mid-stream (slowly enough that hedges fire first); c is
-    // the healthy third replica the ladder reaches after the race loses
-    // both arms.
-    auto engine = MakeEngine(
-        {{"a", {.rows = 6, .sleep_ms_per_row = 20, .fail_after = 2}},
-         {"b", {.rows = 6, .sleep_ms_per_row = 20, .fail_after = 2}},
-         {"c", {.rows = 6}}});
-    ASSERT_NE(engine, nullptr) << mode;
-    PlanOptions options = HedgeOptions(5);
-    options.scheduler = base->scheduler;
+  // a and b fail mid-stream (slowly enough that hedges fire first); c is
+  // the healthy third replica the ladder reaches after the race loses
+  // both arms.
+  auto engine = MakeEngine(
+      {{"a", {.rows = 6, .sleep_ms_per_row = 20, .fail_after = 2}},
+       {"b", {.rows = 6, .sleep_ms_per_row = 20, .fail_after = 2}},
+       {"c", {.rows = 6}}});
+  ASSERT_NE(engine, nullptr);
+  PlanOptions options = HedgeOptions(5);
 
-    auto answer = engine->Execute(kStarQuery, options);
-    ASSERT_TRUE(answer.ok()) << mode << ": " << answer.status();
-    // Three union arms, each eventually served with the full content.
-    EXPECT_EQ(answer->rows.size(), 18u) << mode;
-    for (const auto& [row, count] : RowMultiset(*answer)) {
-      EXPECT_EQ(count, 3) << mode << ": " << row;
-    }
-    EXPECT_GE(answer->stats.hedges_fired, 1u) << mode;
-    EXPECT_GE(answer->stats.failovers, 1u) << mode;
-    EXPECT_GE(answer->stats.failed_sources.size(), 1u) << mode;
-  });
+  auto answer = engine->Execute(kStarQuery, options);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  // Three union arms, each eventually served with the full content.
+  EXPECT_EQ(answer->rows.size(), 18u);
+  for (const auto& [row, count] : RowMultiset(*answer)) {
+    EXPECT_EQ(count, 3) << row;
+  }
+  EXPECT_GE(answer->stats.hedges_fired, 1u);
+  EXPECT_GE(answer->stats.failovers, 1u);
+  EXPECT_GE(answer->stats.failed_sources.size(), 1u);
 }
 
 TEST(FedHedgeTest, HedgedAnswersAreStableAcrossRuns) {
   // Hedge fire/win counts are wall-clock-dependent; the answer multiset
   // must not be. Five runs under racing produce identical answers.
-  ForBothDataflows([](PlanOptions* base, const char* mode) {
-    std::map<std::string, int> expected;
-    for (int run = 0; run < 5; ++run) {
-      auto engine = MakeEngine({{"slow", {.rows = 6, .sleep_ms_per_row = 30}},
-                                {"fast", {.rows = 6}}});
-      ASSERT_NE(engine, nullptr) << mode;
-      PlanOptions options = HedgeOptions(3);
-      options.scheduler = base->scheduler;
-      auto answer = engine->Execute(kStarQuery, options);
-      ASSERT_TRUE(answer.ok()) << mode << " run " << run << ": "
-                               << answer.status();
-      std::map<std::string, int> got = RowMultiset(*answer);
-      if (run == 0) {
-        expected = got;
-      } else {
-        EXPECT_EQ(got, expected) << mode << " run " << run;
-      }
+  std::map<std::string, int> expected;
+  for (int run = 0; run < 5; ++run) {
+    auto engine = MakeEngine({{"slow", {.rows = 6, .sleep_ms_per_row = 30}},
+                              {"fast", {.rows = 6}}});
+    ASSERT_NE(engine, nullptr);
+    PlanOptions options = HedgeOptions(3);
+    auto answer = engine->Execute(kStarQuery, options);
+    ASSERT_TRUE(answer.ok()) << "run " << run << ": " << answer.status();
+    std::map<std::string, int> got = RowMultiset(*answer);
+    if (run == 0) {
+      expected = got;
+    } else {
+      EXPECT_EQ(got, expected) << "run " << run;
     }
-  });
+  }
 }
 
 TEST(FedHedgeTest, AdaptiveTimeoutTripsPersistentlySlowSource) {

@@ -196,7 +196,7 @@ TEST_F(FedObsTest, ProfileJoinsEstimatesAndRuntime) {
   bool leaf_with_source = false;
   for (const obs::QueryProfile::Operator& op : profile.operators) {
     if (op.q_error >= 0) has_estimate = true;
-    // Metrics were on: every operator thread measured its wall time.
+    // Metrics were on: every operator measured its wall time.
     EXPECT_GE(op.wall_ms, 0.0) << op.label;
     if (!op.source_id.empty()) {
       leaf_with_source = true;

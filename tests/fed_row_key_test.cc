@@ -3,7 +3,7 @@
 // rows as equal when their terms are equal — never because their values
 // concatenate to the same text, or because an IRI, a plain literal, a
 // typed literal and a language-tagged literal share a lexical form. Runs
-// every check on both execution substrates and with both join operators.
+// every check with both join operators.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 
 #include "fed/engine.h"
 #include "fed_test_util.h"
-#include "svc/scheduler.h"
 
 namespace lakefed::fed {
 namespace {
@@ -114,17 +113,15 @@ std::unique_ptr<FederatedEngine> MakeEngine() {
   return engine;
 }
 
-class FedRowKeyTest : public ::testing::TestWithParam<std::tuple<bool, bool>> {
+// Parameter: use dependent joins (else symmetric hash joins).
+class FedRowKeyTest : public ::testing::TestWithParam<bool> {
  protected:
-  // Runs `query` on the thread or scheduler substrate, with symmetric hash
-  // joins or dependent joins; `*plan` receives the plan text.
+  // Runs `query` with symmetric hash joins or dependent joins; `*plan`
+  // receives the plan text.
   std::vector<std::string> Run(const std::string& query,
                                std::string* plan = nullptr) {
-    auto [use_scheduler, dependent_join] = GetParam();
     PlanOptions options;
-    options.use_dependent_join = dependent_join;
-    svc::Scheduler sched(svc::Scheduler::Config{1, 2});
-    if (use_scheduler) options.scheduler = &sched;
+    options.use_dependent_join = GetParam();
     auto answer = engine_->Execute(query, options);
     EXPECT_TRUE(answer.ok()) << answer.status();
     if (!answer.ok()) return {};
@@ -144,8 +141,7 @@ TEST_P(FedRowKeyTest, JoinMatchesOnlyEqualTerms) {
       "  ?a a <http://t/A> ; <http://t/p1> ?x ; <http://t/p2> ?y . "
       "  ?b a <http://t/B> ; <http://t/q1> ?x ; <http://t/q2> ?y . }",
       &plan);
-  EXPECT_NE(plan.find(std::get<1>(GetParam()) ? "DependentJoin"
-                                               : "SymmetricHashJoin"),
+  EXPECT_NE(plan.find(GetParam() ? "DependentJoin" : "SymmetricHashJoin"),
             std::string::npos)
       << plan;
   EXPECT_EQ(rows, (std::vector<std::string>{
@@ -169,11 +165,9 @@ TEST_P(FedRowKeyTest, DistinctKeepsRowsThatDifferOnlyInKindOrSplit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SubstrateAndJoin, FedRowKeyTest,
-    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& info) {
-      return std::string(std::get<0>(info.param) ? "tasks" : "threads") +
-             (std::get<1>(info.param) ? "_depjoin" : "_hashjoin");
+    JoinOperator, FedRowKeyTest, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool>& info) {
+      return std::string(info.param ? "depjoin" : "hashjoin");
     });
 
 }  // namespace

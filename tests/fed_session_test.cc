@@ -1,13 +1,16 @@
 // Streaming query sessions: first answers surface before slow sources
-// finish, Cancel() and deadlines tear down every wrapper thread promptly,
-// one engine hosts many concurrent sessions, invalid options are rejected
-// at session creation, and the blocking shims stay equivalent.
+// finish, Cancel() and deadlines tear down every wrapper promptly, one
+// engine hosts many concurrent sessions, undrained streams do not starve
+// the engine's worker pool, invalid options are rejected at session
+// creation, and the blocking shims stay equivalent.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "common/stopwatch.h"
 #include "fed/engine.h"
@@ -115,7 +118,7 @@ TEST(FedSessionTest, FirstRowArrivesBeforeSlowestSourceFinishes) {
   (*stream)->Cancel();
   Status st = (*stream)->Finish();
   EXPECT_TRUE(st.IsCancelled()) << st;
-  // Finish() joins all wrapper/operator threads: well under the 10s the
+  // Finish() waits for every task and leaf job: well under the 10s the
   // slow source would need to drain on its own.
   EXPECT_LT(sw.ElapsedSeconds(), 5.0);
 }
@@ -228,6 +231,45 @@ TEST(FedSessionTest, ConcurrentSessionsOnOneEngine) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// A stream nobody reads must not hold I/O-pool threads: leaves push into
+// unbounded queues, so their jobs finish without a consumer. Were a leaf
+// job to wait on a full queue instead, a dozen held streams would park
+// every pool thread, the next session would starve, and destroying a held
+// stream would wait forever on its own queued leaf job. The held streams'
+// deadline lies far beyond the time budget, so such a regression fails the
+// budget (once the deadline frees the pool) rather than hanging.
+TEST(FedSessionTest, UndrainedStreamsDoNotStarveAnotherSession) {
+  // Each leaf outgrows the 4096-row operator queues, so a blocking leaf
+  // would park; every held stream buffers both leaves (~6 MB).
+  auto engine = MakeEngine({{"a", {.rows = 10000}}, {"b", {.rows = 10000}}});
+  ASSERT_NE(engine, nullptr);
+  Stopwatch sw;
+  QueryRequest held_request = QueryRequest::Text(kStarQuery, {});
+  held_request.timeout = std::chrono::seconds(60);
+  std::vector<std::unique_ptr<ResultStream>> held;
+  for (int i = 0; i < 12; ++i) {
+    auto stream = engine->CreateSession(held_request);
+    ASSERT_TRUE(stream.ok()) << stream.status();
+    rdf::Binding row;
+    ASSERT_TRUE((*stream)->Next(&row)) << "held stream " << i;
+    held.push_back(std::move(*stream));
+  }
+
+  QueryRequest request = QueryRequest::Text(kStarQuery, {});
+  request.timeout = std::chrono::seconds(10);
+  auto stream = engine->CreateSession(request);
+  ASSERT_TRUE(stream.ok()) << stream.status();
+  auto answer = (*stream)->Drain();
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(answer->rows.size(), 20000u);
+  // Holding twelve streams and draining a thirteenth beside them.
+  EXPECT_LT(sw.ElapsedSeconds(), 10.0);
+
+  sw.Restart();
+  held.clear();  // cancels and tears down every held stream
+  EXPECT_LT(sw.ElapsedSeconds(), 5.0);
 }
 
 TEST(FedSessionTest, EngineSealsAtFirstSession) {

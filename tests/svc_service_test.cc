@@ -55,19 +55,6 @@ TEST_F(QueryServiceTest, ExecutesQueryAndMatchesOracle) {
             OracleAnswers(*lake_, lslod::FindQuery("Q1")->sparql));
 }
 
-TEST_F(QueryServiceTest, SchedulerOffPathReturnsSameAnswers) {
-  ServiceConfig on;
-  on.scheduler.workers = 2;
-  ServiceConfig off = on;
-  off.use_scheduler = false;
-  auto with = QueryService(lake_->engine.get(), on).Execute(Request("Q3"));
-  auto without =
-      QueryService(lake_->engine.get(), off).Execute(Request("Q3"));
-  ASSERT_TRUE(with.ok()) << with.status();
-  ASSERT_TRUE(without.ok()) << without.status();
-  EXPECT_EQ(SerializeAnswers(*with), SerializeAnswers(*without));
-}
-
 TEST_F(QueryServiceTest, ShedsWhenAdmissionQueueFull) {
   ServiceConfig config;
   config.scheduler.workers = 1;
