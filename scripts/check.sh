@@ -21,6 +21,11 @@ echo "== tier-1: configure + build + ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+# Two tests that used to race the clock (a hedge-budget count and a
+# retry-loop session expiry): rerun them under parallel load so a relapse
+# into timing dependence shows up here, not as a rare tier-1 flake.
+ctest --test-dir build --output-on-failure -j "$JOBS" --repeat until-fail:50 \
+    -R '^(FedHedgeTest\.PerQueryBudgetLimitsSpeculation|RunWithRetryTest\.SessionDeadlineExpiryIsTerminal)$'
 
 if [[ "${SKIP_OVERHEAD:-0}" == "1" ]]; then
   echo "== SKIP_OVERHEAD=1: skipping metrics-overhead guard =="

@@ -164,18 +164,7 @@ Result<FederatedPlan> FederatedEngine::Plan(const std::string& sparql,
   LAKEFED_RETURN_NOT_OK(PrepareStats(&effective));
   LAKEFED_ASSIGN_OR_RETURN(sparql::SelectQuery query,
                            sparql::ParseSparql(sparql));
-  std::vector<sparql::SelectQuery> branches = sparql::ExpandUnions(query);
-  LAKEFED_ASSIGN_OR_RETURN(
-      FederatedPlan plan,
-      BuildPlan(branches.front(), catalog_, wrappers_, effective));
-  if (branches.size() > 1) {
-    plan.decisions.insert(
-        plan.decisions.begin(),
-        "UNION: " + std::to_string(branches.size()) +
-            " branch combinations planned and executed independently "
-            "(first branch shown)");
-  }
-  return plan;
+  return BuildPlan(query, catalog_, wrappers_, effective);
 }
 
 Result<std::unique_ptr<ResultStream>> FederatedEngine::CreateSession(

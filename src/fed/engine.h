@@ -9,8 +9,8 @@
 // a session and drain it.
 //
 // Plan vs Execute: Plan() is EXPLAIN — it builds the same QEP that a
-// session would run (for a UNION, the first branch combination) without
-// touching the sources. Execute/CreateSession re-plan internally; a plan
+// session would run (the whole query: every UNION branch, the mediator's
+// aggregate and the solution modifiers) without touching the sources. Execute/CreateSession re-plan internally; a plan
 // object is never handed back in, so options are the only execution knob.
 //
 // Concurrency: the engine seals its catalog at the first CreateSession (or
@@ -150,8 +150,8 @@ class FederatedEngine {
 
   // Blocking shim: parses, plans, executes and materializes the full
   // answer — equivalent to CreateSession + ResultStream::Drain. UNION
-  // blocks execute one federated plan per branch combination; aggregates
-  // group the merged solutions at the mediator.
+  // branch combinations run concurrently under one Union operator;
+  // aggregates group the merged solutions at the mediator.
   Result<QueryAnswer> Execute(const std::string& sparql,
                               const PlanOptions& options) const;
 

@@ -24,6 +24,7 @@
 #include "fed/subquery.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "sparql/aggregate.h"
 #include "stats/stats_catalog.h"
 #include "svc/scheduler.h"
 
@@ -657,14 +658,14 @@ class PlanExecution::Impl {
        const PlanOptions& options, CancellationToken token)
       : wrappers_(wrappers),
         options_(options),
-        token_(std::move(token)),
+        token_(token.MakeChild(token.deadline())),
         batch_(std::max<size_t>(1, options.batch_size)) {
     // Recovery accounting always goes through the local registry (it is
-    // what ExecutionStats reads at Finish, and it must stay per-execution:
-    // a UNION session runs several executions whose stats are reported
-    // separately). Histograms and spans are recorded only when metrics
-    // collection is on, and directly into the session's registry when one
-    // is attached — skipping a snapshot+merge round trip per query.
+    // what ExecutionStats reads at Finish, so it must count this execution
+    // alone, not everything the session's registry has seen). Histograms
+    // and spans are recorded only when metrics collection is on, and
+    // directly into the session's registry when one is attached — skipping
+    // a snapshot+merge round trip per query.
     retries_counter_ = local_metrics_.GetCounter("exec.retries");
     failovers_counter_ = local_metrics_.GetCounter("exec.failovers");
     breaker_rejections_counter_ =
@@ -726,32 +727,9 @@ class PlanExecution::Impl {
   }
 
   bool NextBatch(RowBatch* batch) {
-    // Rows the row-at-a-time shim already pulled are served first, so the
-    // two pull forms interleave without loss or duplication.
-    if (pending_pos_ < pending_.size()) {
-      batch->rows.assign(
-          std::make_move_iterator(pending_.rows.begin() +
-                                  static_cast<ptrdiff_t>(pending_pos_)),
-          std::make_move_iterator(pending_.rows.end()));
-      pending_.clear();
-      pending_pos_ = 0;
-      return true;
-    }
     batch->clear();
     if (root_ == nullptr || finished_) return false;
     return root_->PopBatch(&batch->rows, batch_, token_) > 0;
-  }
-
-  std::optional<rdf::Binding> Next() {
-    if (pending_pos_ >= pending_.size()) {
-      pending_.clear();
-      pending_pos_ = 0;
-      if (root_ == nullptr || finished_) return std::nullopt;
-      if (root_->PopBatch(&pending_.rows, batch_, token_) == 0) {
-        return std::nullopt;
-      }
-    }
-    return std::move(pending_.rows[pending_pos_++]);
   }
 
   Status Finish() {
@@ -873,11 +851,6 @@ class PlanExecution::Impl {
     return final_status_;
   }
 
-  // The registry this execution recorded into: the session's, when one was
-  // attached, else the execution-local fallback (standalone ExecutePlan).
-  // Stable once Finish() ran.
-  obs::MetricsSnapshot metrics_snapshot() const { return sink_->Snapshot(); }
-
   const ExecutionStats& stats() const { return stats_; }
   const std::vector<std::pair<std::string, uint64_t>>& operator_rows() const {
     return operator_rows_;
@@ -943,9 +916,19 @@ class PlanExecution::Impl {
     return it->second.get();
   }
 
+  // The first error fails the execution and ends its dataflow: cancelling
+  // the execution's token closes every queue, so no blocking operator
+  // (ORDER BY, aggregate) emits a result over an input the error truncated.
+  // The reason is kCancelled, so the legs it cuts short are not charged to
+  // their sources.
   void RecordError(const Status& status) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (error_.ok()) error_ = status;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!error_.ok()) return;
+      error_ = status;
+    }
+    token_.CancelWith(
+        Status::Cancelled("execution failed: " + status.ToString()));
   }
 
   Result<SourceWrapper*> WrapperFor(const std::string& source_id) {
@@ -1249,9 +1232,11 @@ class PlanExecution::Impl {
   }
 
   // Reports one finished racer: retry accounting, then the breaker verdict.
-  // A racer cancelled as the race loser (or by the session) neither closes
-  // nor trips the breaker — it only releases the probe slot it may hold.
-  void ResolveRacer(const std::string& source, const RacerResult& r) {
+  // A racer cancelled as the race loser, or cut short by the session's
+  // cancellation or deadline (`aborted`), neither closes nor trips the
+  // breaker — it only releases the probe slot it may hold.
+  void ResolveRacer(const std::string& source, const RacerResult& r,
+                    bool aborted) {
     if (r.retries > 0) {
       retries_counter_->Increment(static_cast<uint64_t>(r.retries));
       local_metrics_.GetCounter("source." + source + ".retries")
@@ -1263,7 +1248,7 @@ class PlanExecution::Impl {
     if (!r.admitted || breakers == nullptr) return;
     if (r.status.ok()) {
       breakers->OnSuccess(source);
-    } else if (r.status.code() == StatusCode::kCancelled) {
+    } else if (aborted || r.status.code() == StatusCode::kCancelled) {
       breakers->OnAbandoned(source);
     } else {
       breakers->OnFailure(source);
@@ -1393,12 +1378,15 @@ class PlanExecution::Impl {
     }
 
     // Both arms are final; report them, then settle the outcome.
-    ResolveRacer(primary_source, race->primary);
-    if (race->hedge_launched) ResolveRacer(hedge_source, race->hedge);
+    const bool aborted = token.IsCancelled();
+    ResolveRacer(primary_source, race->primary, aborted);
+    if (race->hedge_launched) {
+      ResolveRacer(hedge_source, race->hedge, aborted);
+    }
 
     HedgeOutcome out;
     out.raced = race->hedge_launched ? 2 : 1;
-    if (token.IsCancelled()) {
+    if (aborted) {
       out.decided = true;
       out.status = token.ToStatus();
       return out;
@@ -1461,8 +1449,8 @@ class PlanExecution::Impl {
     BreakerRegistry* breakers = options_.breakers;
     Status last = Status::Unavailable("no candidate source attempted");
     size_t start = 0;
-    if (options_.hedge.enabled && candidates.size() >= 2 &&
-        hedge_budget_query_.load(std::memory_order_relaxed) > 0 &&
+    const bool hedgeable = options_.hedge.enabled && candidates.size() >= 2;
+    if (hedgeable && hedge_budget_query_.load(std::memory_order_relaxed) > 0 &&
         !token.IsCancelled()) {
       HedgeOutcome hedged = ExecuteLeafHedged(subquery, candidates, sink,
                                               token, &rng, parent_span);
@@ -1471,6 +1459,13 @@ class PlanExecution::Impl {
       start = hedged.raced;
       last = hedged.status;
     }
+    // With the query's hedge budget already spent the leaf runs unhedged.
+    // A hedge is still suppressed if the primary outlives its hedge delay —
+    // the moment a race's watchdog would have found no budget.
+    const bool unhedged = hedgeable && start == 0;
+    const double hedge_delay_ms =
+        unhedged ? HedgeDelayMs(subquery.source_id) : 0;
+    Stopwatch primary_watch;
     for (size_t i = start; i < candidates.size(); ++i) {
       if (token.IsCancelled()) return token.ToStatus();
       const std::string& source = candidates[i];
@@ -1496,6 +1491,10 @@ class PlanExecution::Impl {
       int retries = 0;
       Status st = ExecuteWithRetry(*wrapper, sq, channel, sink, token, &rng,
                                    &retries, parent_span);
+      if (unhedged && i == 0 &&
+          primary_watch.ElapsedMillis() >= hedge_delay_ms) {
+        hedges_suppressed_counter_->Increment();
+      }
       if (retries > 0) {
         retries_counter_->Increment(static_cast<uint64_t>(retries));
         local_metrics_.GetCounter("source." + source + ".retries")
@@ -1507,6 +1506,8 @@ class PlanExecution::Impl {
         if (breakers != nullptr) breakers->OnSuccess(source);
         return st;
       }
+      // A leg cut short by cancellation says nothing about its source.
+      if (token.IsCancelled()) return token.ToStatus();
       if (breakers != nullptr) {
         breakers->OnFailure(source);
         if (breakers->IsOpen(source)) {
@@ -1518,7 +1519,6 @@ class PlanExecution::Impl {
         failed_sources_[source] = st.message();
       }
       last = st;
-      if (token.IsCancelled()) return token.ToStatus();
     }
     return last;
   }
@@ -1648,6 +1648,7 @@ class PlanExecution::Impl {
       case FedPlanNode::Kind::kOrderBy: return StartOrderBy(node);
       case FedPlanNode::Kind::kDistinct: return StartDistinct(node);
       case FedPlanNode::Kind::kLimit: return StartLimit(node);
+      case FedPlanNode::Kind::kAggregate: return StartAggregate(node);
     }
     auto q = std::make_shared<RowQueue>(kQueueCapacity);
     q->Close();
@@ -1930,41 +1931,40 @@ class PlanExecution::Impl {
         });
   }
 
-  RowQueuePtr StartOrderBy(const FedPlanNode& node) {
-    RowQueuePtr in = StartNode(*node.children[0]);
-    std::vector<sparql::OrderCondition> order_by = node.order_by;
-    // Materialize in process, sort and emit in finalize — two closures
-    // sharing the buffer.
+  // A blocking one-in/one-out operator: buffers its whole input, lets
+  // `finish` rewrite the buffer once the input is exhausted, then emits it.
+  RowQueuePtr MakeBlockingRelay(
+      const FedPlanNode& node, const char* span_name, RowQueuePtr in,
+      std::function<void(std::vector<rdf::Binding>*)> finish) {
     auto rows = std::make_shared<std::vector<rdf::Binding>>();
     return MakeRelay(
-        node, "orderby", in,
+        node, span_name, std::move(in),
         [rows](std::vector<rdf::Binding>&& in_batch,
                TaskWriter<rdf::Binding>*) {
           for (rdf::Binding& row : in_batch) rows->push_back(std::move(row));
           return true;
         },
-        [rows, order_by](TaskWriter<rdf::Binding>* w) {
-          std::stable_sort(
-              rows->begin(), rows->end(),
-              [&](const rdf::Binding& a, const rdf::Binding& b) {
-                for (const sparql::OrderCondition& cond : order_by) {
-                  auto ita = a.find(cond.variable);
-                  auto itb = b.find(cond.variable);
-                  bool ba = ita != a.end(), bb = itb != b.end();
-                  int c;
-                  if (!ba && !bb) {
-                    c = 0;
-                  } else if (ba != bb) {
-                    c = ba ? 1 : -1;  // unbound sorts first
-                  } else {
-                    c = sparql::CompareTermsSparql(ita->second, itb->second);
-                  }
-                  if (c != 0) return cond.ascending ? c < 0 : c > 0;
-                }
-                return false;
-              });
+        [rows, finish = std::move(finish)](TaskWriter<rdf::Binding>* w) {
+          finish(rows.get());
           for (rdf::Binding& row : *rows) w->Add(std::move(row));
           rows->clear();
+        });
+  }
+
+  RowQueuePtr StartOrderBy(const FedPlanNode& node) {
+    return MakeBlockingRelay(
+        node, "orderby", StartNode(*node.children[0]),
+        [order_by = node.order_by](std::vector<rdf::Binding>* rows) {
+          sparql::SortBindings(rows, order_by);
+        });
+  }
+
+  RowQueuePtr StartAggregate(const FedPlanNode& node) {
+    return MakeBlockingRelay(
+        node, "aggregate", StartNode(*node.children[0]),
+        [group_by = node.group_by,
+         aggregates = node.aggregates](std::vector<rdf::Binding>* rows) {
+          *rows = sparql::AggregateSolutions(*rows, group_by, aggregates);
         });
   }
 
@@ -2008,9 +2008,6 @@ class PlanExecution::Impl {
   CancellationToken token_;
   // Morsel size of the exchange (>= 1; 1 = legacy row-at-a-time).
   const size_t batch_;
-  // Batch being served row-by-row through the Next() shim.
-  RowBatch pending_;
-  size_t pending_pos_ = 0;
   RowQueuePtr root_;
   // The worker pool the tasks run on (PlanOptions::scheduler), the
   // outstanding-work counter Finish() waits on, and the kick-offs deferred
@@ -2092,8 +2089,6 @@ bool PlanExecution::NextBatch(RowBatch* batch) {
   return impl_->NextBatch(batch);
 }
 
-std::optional<rdf::Binding> PlanExecution::Next() { return impl_->Next(); }
-
 Status PlanExecution::Finish() { return impl_->Finish(); }
 
 const ExecutionStats& PlanExecution::stats() const { return impl_->stats(); }
@@ -2114,41 +2109,6 @@ const std::vector<obs::OperatorRuntime>& PlanExecution::operator_runtime()
 
 const std::vector<AnswerTrace::Event>& PlanExecution::trace_events() const {
   return impl_->trace_events();
-}
-
-obs::MetricsSnapshot PlanExecution::metrics_snapshot() const {
-  return impl_->metrics_snapshot();
-}
-
-void ExecutionStats::MergeFrom(const ExecutionStats& other) {
-  messages_transferred += other.messages_transferred;
-  network_delay_ms += other.network_delay_ms;
-  source_rows += other.source_rows;
-  for (const auto& [source, b] : other.per_source) {
-    SourceBreakdown& mine = per_source[source];
-    mine.rows += b.rows;
-    mine.messages += b.messages;
-    mine.delay_ms += b.delay_ms;
-    mine.retries += b.retries;
-  }
-  retries += other.retries;
-  failovers += other.failovers;
-  faults_injected += other.faults_injected;
-  breaker_rejections += other.breaker_rejections;
-  hedges_fired += other.hedges_fired;
-  hedge_wins += other.hedge_wins;
-  hedges_cancelled += other.hedges_cancelled;
-  hedges_suppressed += other.hedges_suppressed;
-  adaptive_timeouts += other.adaptive_timeouts;
-  latency_spikes_injected += other.latency_spikes_injected;
-  sub_answer_hits += other.sub_answer_hits;
-  sub_answer_misses += other.sub_answer_misses;
-  for (const auto& [source, error] : other.failed_sources) {
-    failed_sources[source] = error;
-  }
-  recovery_events.insert(recovery_events.end(), other.recovery_events.begin(),
-                         other.recovery_events.end());
-  partial = partial || other.partial;
 }
 
 std::string QueryAnswer::OperatorStatsText() const {
@@ -2214,41 +2174,6 @@ std::string QueryAnswer::OperatorStatsText() const {
            " hits  " + std::to_string(stats.sub_answer_misses) + " misses\n";
   }
   return out;
-}
-
-Result<QueryAnswer> ExecutePlan(
-    const FederatedPlan& plan,
-    const std::map<std::string, SourceWrapper*>& wrappers,
-    const PlanOptions& options, CancellationToken token) {
-  QueryAnswer answer;
-  answer.variables = plan.variables;
-  answer.plan_text = plan.Explain();
-
-  Stopwatch stopwatch;
-  PlanExecution execution(wrappers, options, std::move(token));
-  execution.Start(plan);
-  RowBatch batch;
-  while (execution.NextBatch(&batch)) {
-    // All rows of a morsel became available to the client together, so they
-    // share one arrival timestamp in the answer trace.
-    const double now = stopwatch.ElapsedSeconds();
-    for (rdf::Binding& row : batch.rows) {
-      answer.trace.timestamps.push_back(now);
-      answer.rows.push_back(std::move(row));
-    }
-  }
-  answer.trace.completion_seconds = stopwatch.ElapsedSeconds();
-
-  LAKEFED_RETURN_NOT_OK(execution.Finish());
-  answer.trace.events = execution.trace_events();
-  answer.stats = execution.stats();
-  answer.operator_rows = execution.operator_rows();
-  answer.operator_estimates = execution.operator_estimates();
-  answer.operator_runtime = execution.operator_runtime();
-  if (options.collect_metrics) {
-    answer.metrics_json = execution.metrics_snapshot().ToJson();
-  }
-  return answer;
 }
 
 }  // namespace lakefed::fed

@@ -11,13 +11,10 @@
 // batch boundaries carry no meaning and the answer multiset is identical
 // at every batch size.
 //
-// Two entry points:
-//  * PlanExecution — the incremental form: start the dataflow, pull
-//    batches (or single rows via the compatibility shim), tear down
-//    cooperatively via a CancellationToken. This is what streaming
-//    sessions (fed/session.h) run on.
-//  * ExecutePlan — the materializing convenience wrapper used by the
-//    blocking Execute shims: drains a PlanExecution to completion.
+// One entry point, PlanExecution: start the dataflow of a whole query's
+// plan, pull batches, tear down cooperatively via a CancellationToken. Every
+// session (fed/session.h) runs exactly one; the blocking Execute shims
+// drain a session.
 
 #ifndef LAKEFED_FED_EXECUTOR_H_
 #define LAKEFED_FED_EXECUTOR_H_
@@ -34,7 +31,6 @@
 #include "fed/row_batch.h"
 #include "fed/trace.h"
 #include "fed/wrapper.h"
-#include "obs/metrics.h"
 #include "obs/profile.h"
 
 namespace lakefed::fed {
@@ -74,8 +70,8 @@ struct ExecutionStats {
   uint64_t hedge_wins = 0;
   // Race losers cancelled mid-flight (either side).
   uint64_t hedges_cancelled = 0;
-  // Hedge opportunities skipped because a budget (per query or per source)
-  // was exhausted.
+  // Hedges that would have fired — a leaf with an alternate ran past its
+  // hedge delay — but found the per-query or per-source budget exhausted.
   uint64_t hedges_suppressed = 0;
   // Attempts whose timeout came from observed latency quantiles instead of
   // the static retry.attempt_timeout_ms.
@@ -100,10 +96,6 @@ struct ExecutionStats {
   // True when best-effort execution dropped an unrecoverable leaf: the
   // answer is missing that leaf's contribution.
   bool partial = false;
-
-  // Folds `other` into this (totals summed, per-source entries merged) —
-  // used by sessions accumulating multiple plan executions.
-  void MergeFrom(const ExecutionStats& other);
 };
 
 struct QueryAnswer {
@@ -134,11 +126,11 @@ struct QueryAnswer {
 
 // A live, incremental execution of one federated plan: Start() registers
 // the operator tasks and leaf jobs on PlanOptions::scheduler (required),
-// Next() pulls rows from the root queue as they are produced, Finish()
+// NextBatch() pulls rows from the root queue as they are produced, Finish()
 // tears everything down and reports the terminal status. Cancelling the
-// token (or its deadline expiring) closes every queue of the dataflow, so
-// parked tasks, blocked consumers and mid-delay network transfers unwind
-// promptly instead of draining.
+// token, its deadline expiring or the first wrapper/operator error closes
+// every queue of the dataflow, so parked tasks, blocked consumers and
+// mid-delay network transfers unwind promptly instead of draining.
 class PlanExecution {
  public:
   PlanExecution(const std::map<std::string, SourceWrapper*>& wrappers,
@@ -148,7 +140,7 @@ class PlanExecution {
   PlanExecution(const PlanExecution&) = delete;
   PlanExecution& operator=(const PlanExecution&) = delete;
 
-  // Starts the dataflow for `plan`. Call exactly once, before Next().
+  // Starts the dataflow for `plan`. Call exactly once, before NextBatch().
   void Start(const FederatedPlan& plan);
 
   // Blocks for the next morsel of root rows (the primary pull API).
@@ -156,11 +148,6 @@ class PlanExecution {
   // end-of-stream: completion, error, cancellation or deadline expiry —
   // Finish() discriminates.
   bool NextBatch(RowBatch* batch);
-
-  // Row-at-a-time compatibility shim over NextBatch(): serves rows from
-  // an internal pending batch. nullopt means end-of-stream. May be
-  // interleaved freely with NextBatch() (pending rows are served first).
-  std::optional<rdf::Binding> Next();
 
   // Closes all queues, waits for every task and I/O job of the dataflow
   // and freezes the statistics.
@@ -180,23 +167,11 @@ class PlanExecution {
   // Timestamped recovery events (retries, failovers, breaker trips),
   // seconds since the execution was created. Empty on fault-free runs.
   const std::vector<AnswerTrace::Event>& trace_events() const;
-  // Snapshot of the execution's metrics registry (counters always; latency
-  // histograms only when PlanOptions::collect_metrics). Stable after
-  // Finish().
-  obs::MetricsSnapshot metrics_snapshot() const;
 
  private:
   class Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-// Runs `plan` to completion. `wrappers` maps source id -> wrapper. The
-// token, when cancellable, aborts the run (the returned status is then the
-// cancellation reason).
-Result<QueryAnswer> ExecutePlan(
-    const FederatedPlan& plan,
-    const std::map<std::string, SourceWrapper*>& wrappers,
-    const PlanOptions& options, CancellationToken token = {});
 
 }  // namespace lakefed::fed
 

@@ -180,8 +180,8 @@ QueryFingerprint FingerprintQuery(const sparql::SelectQuery& query,
     renderer.Append(opt.patterns, opt.filters, "    ", &out);
     out += "  }\n";
   }
-  // Branch queries (post-ExpandUnions) have no union blocks left; a raw
-  // query fingerprinted before expansion keeps its blocks in place.
+  // Sessions fingerprint the whole query, so union blocks render in place
+  // (a plan covers every branch).
   for (const sparql::UnionBlock& block : query.unions) {
     out += "  UNION-BLOCK {\n";
     for (const sparql::UnionBlock::Branch& branch : block.branches) {

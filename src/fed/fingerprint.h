@@ -23,7 +23,7 @@
 namespace lakefed::fed {
 
 struct QueryFingerprint {
-  // Canonical template of the (branch) query: prefixes dropped (terms are
+  // Canonical template of the query: prefixes dropped (terms are
   // already IRI-expanded by the parser), triple patterns and filters sorted
   // by their canonical rendering, literal constants replaced by positional
   // $<k> placeholders.
@@ -44,9 +44,8 @@ struct QueryFingerprint {
   std::string ToText() const;
 };
 
-// Fingerprints one union-free (branch) query. Callers expand UNION blocks
-// first and fingerprint each branch independently, mirroring how sessions
-// plan them.
+// Fingerprints one query — UNION blocks, aggregates and solution modifiers
+// included, since sessions plan the whole query as one plan.
 QueryFingerprint FingerprintQuery(const sparql::SelectQuery& query,
                                   const PlanOptions& options);
 

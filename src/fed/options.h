@@ -220,9 +220,9 @@ struct PlanOptions {
   bool collect_metrics = true;
 
   // Per-query metrics registry (not owned). Sessions own one and fill this
-  // in automatically; a standalone ExecutePlan run without a registry
-  // falls back to an execution-local one so QueryAnswer::metrics_json is
-  // still populated. Ignored when collect_metrics is false.
+  // in automatically; a PlanExecution run without one records into an
+  // execution-local registry instead. Ignored when collect_metrics is
+  // false.
   obs::MetricsRegistry* metrics = nullptr;
 
   // Hierarchical span recorder (not owned; null = no spans). Sessions own

@@ -1,7 +1,5 @@
 #include "fed/plan.h"
 
-#include <set>
-
 namespace lakefed::fed {
 namespace {
 
@@ -21,39 +19,6 @@ void ExplainInto(const FedPlanNode& node, std::string* out, int indent) {
 }
 
 }  // namespace
-
-std::vector<std::string> FedPlanNode::OutputVariables() const {
-  switch (kind) {
-    case Kind::kService:
-      return subquery.Variables();
-    case Kind::kProject:
-      return projection;
-    case Kind::kDependentJoin: {
-      std::vector<std::string> out = children[0]->OutputVariables();
-      std::set<std::string> seen(out.begin(), out.end());
-      for (const std::string& v : subquery.Variables()) {
-        if (seen.insert(v).second) out.push_back(v);
-      }
-      return out;
-    }
-    case Kind::kJoin:
-    case Kind::kLeftJoin: {
-      std::vector<std::string> out = children[0]->OutputVariables();
-      std::set<std::string> seen(out.begin(), out.end());
-      for (const std::string& v : children[1]->OutputVariables()) {
-        if (seen.insert(v).second) out.push_back(v);
-      }
-      return out;
-    }
-    case Kind::kUnion:
-    case Kind::kFilter:
-    case Kind::kOrderBy:
-    case Kind::kDistinct:
-    case Kind::kLimit:
-      return children[0]->OutputVariables();
-  }
-  return {};
-}
 
 std::string FedPlanNode::Describe() const {
   switch (kind) {
@@ -77,8 +42,13 @@ std::string FedPlanNode::Describe() const {
       out += " into " + subquery.ToString();
       return out;
     }
-    case Kind::kUnion:
-      return "Union (" + std::to_string(children.size()) + " sources)";
+    case Kind::kUnion: {
+      // Every branch plan of a query-level UNION ends in its projection;
+      // a molecule union's children are scans.
+      const bool branches = children.front()->kind == Kind::kProject;
+      return "Union (" + std::to_string(children.size()) +
+             (branches ? " branches)" : " sources)");
+    }
     case Kind::kFilter: {
       std::string out = "EngineFilter";
       for (const sparql::FilterExprPtr& f : filters) {
@@ -102,6 +72,18 @@ std::string FedPlanNode::Describe() const {
       return "Distinct";
     case Kind::kLimit:
       return "Limit " + std::to_string(limit);
+    case Kind::kAggregate: {
+      std::string out = "EngineAggregate";
+      if (!group_by.empty()) out += " GROUP BY";
+      for (const std::string& v : group_by) out += " ?" + v;
+      for (const sparql::SelectAggregate& agg : aggregates) {
+        out += " " + sparql::AggregateFuncToString(agg.func) + "(" +
+               (agg.distinct ? "DISTINCT " : "") +
+               (agg.var.empty() ? "*" : "?" + agg.var) + ") AS ?" +
+               agg.alias;
+      }
+      return out;
+    }
   }
   return "?";
 }
@@ -205,6 +187,17 @@ FedPlanPtr MakeLimitNode(FedPlanPtr child, int64_t limit) {
   node->kind = FedPlanNode::Kind::kLimit;
   node->children.push_back(std::move(child));
   node->limit = limit;
+  return node;
+}
+
+FedPlanPtr MakeAggregateNode(FedPlanPtr child,
+                             std::vector<std::string> group_by,
+                             std::vector<sparql::SelectAggregate> aggregates) {
+  auto node = std::make_unique<FedPlanNode>();
+  node->kind = FedPlanNode::Kind::kAggregate;
+  node->children.push_back(std::move(child));
+  node->group_by = std::move(group_by);
+  node->aggregates = std::move(aggregates);
   return node;
 }
 

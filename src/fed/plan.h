@@ -22,12 +22,14 @@ struct FedPlanNode {
     kJoin,           // ANAPSID-style symmetric hash join on `join_vars`
     kLeftJoin,       // OPTIONAL: left outer join on `join_vars`
     kDependentJoin,  // bind join: left drives instantiated right service
-    kUnion,          // multi-source molecule union
+    kUnion,          // multi-source molecule union, or the query's UNION
+                     // branches (each child then ends in a kProject)
     kFilter,         // engine-level FILTER evaluation
     kProject,
     kOrderBy,        // blocking sort on `order_by`
     kDistinct,
     kLimit,
+    kAggregate,      // blocking GROUP BY + aggregates at the mediator
   };
 
   Kind kind = Kind::kService;
@@ -39,6 +41,8 @@ struct FedPlanNode {
   std::vector<std::string> projection;  // kProject
   std::vector<sparql::OrderCondition> order_by;  // kOrderBy
   int64_t limit = 0;                    // kLimit
+  std::vector<std::string> group_by;    // kAggregate
+  std::vector<sparql::SelectAggregate> aggregates;  // kAggregate
 
   // Cost-model annotations (set only when PlanOptions::use_cost_model is
   // on). estimated_rows < 0 means "no estimate"; stats_key identifies the
@@ -52,9 +56,6 @@ struct FedPlanNode {
   // the first healthy alternate. Deliberately absent from Describe/Explain
   // so plan text is unchanged by the fault-tolerance layer.
   std::vector<std::string> failover_sources;
-
-  // Variables this node's output rows bind.
-  std::vector<std::string> OutputVariables() const;
 
   std::string Describe() const;
   std::string Explain() const;  // indented subtree
@@ -85,6 +86,9 @@ FedPlanPtr MakeProjectNode(FedPlanPtr child,
                            std::vector<std::string> projection);
 FedPlanPtr MakeDistinctNode(FedPlanPtr child);
 FedPlanPtr MakeLimitNode(FedPlanPtr child, int64_t limit);
+FedPlanPtr MakeAggregateNode(FedPlanPtr child,
+                             std::vector<std::string> group_by,
+                             std::vector<sparql::SelectAggregate> aggregates);
 
 }  // namespace lakefed::fed
 

@@ -200,14 +200,61 @@ bool VariableIsIndexed(const StarSubQuery& star, const std::string& var,
   return wrapper.IsPredicateAttributeIndexed(*star.class_iri, *predicate);
 }
 
-Result<FederatedPlan> BuildPlan(
+namespace {
+
+// The solution modifiers over `root`, in SPARQL order: ORDER BY, the
+// projection on the query's output variables, DISTINCT, LIMIT.
+FedPlanPtr AddSolutionModifiers(FedPlanPtr root,
+                                const sparql::SelectQuery& query) {
+  if (!query.order_by.empty()) {
+    root = MakeOrderByNode(std::move(root), query.order_by);
+  }
+  root = MakeProjectNode(std::move(root), query.EffectiveProjection());
+  if (query.distinct) root = MakeDistinctNode(std::move(root));
+  if (query.limit.has_value()) {
+    root = MakeLimitNode(std::move(root), *query.limit);
+  }
+  return root;
+}
+
+// The aggregate-free query whose solutions an aggregate query groups: it
+// projects the grouping keys and aggregated variables (every pattern
+// variable for COUNT(*)), with the solution modifiers left to the plan above
+// the aggregate.
+sparql::SelectQuery AggregateInput(const sparql::SelectQuery& query) {
+  sparql::SelectQuery inner = query;
+  inner.aggregates.clear();
+  inner.group_by.clear();
+  inner.order_by.clear();
+  inner.limit.reset();
+  inner.distinct = false;
+  inner.select_all = false;
+  bool count_star = false;
+  std::set<std::string> needed(query.group_by.begin(), query.group_by.end());
+  for (const sparql::SelectAggregate& agg : query.aggregates) {
+    if (agg.var.empty()) {
+      count_star = true;
+    } else {
+      needed.insert(agg.var);
+    }
+  }
+  inner.variables = count_star
+                        ? query.PatternVariables()
+                        : std::vector<std::string>(needed.begin(), needed.end());
+  if (inner.variables.empty()) inner.variables = query.PatternVariables();
+  return inner;
+}
+
+// Plans one union-free, aggregate-free query: source selection, the two
+// heuristics, the join tree and the solution modifiers. Its phase spans
+// hang under `plan_span`.
+Result<FederatedPlan> PlanBranch(
     const sparql::SelectQuery& query, const mapping::RdfMtCatalog& catalog,
     const std::map<std::string, SourceWrapper*>& wrappers,
-    const PlanOptions& options) {
+    const PlanOptions& options, uint64_t plan_span) {
   obs::SpanRecorder* recorder =
       options.collect_metrics ? options.spans : nullptr;
-  obs::Span plan_span(recorder, "plan", options.parent_span);
-  obs::Span decompose_span(recorder, "decompose", plan_span.id());
+  obs::Span decompose_span(recorder, "decompose", plan_span);
   LAKEFED_ASSIGN_OR_RETURN(DecomposedQuery decomposed,
                            Decompose(query, options.decomposition));
   decompose_span.End();
@@ -260,7 +307,7 @@ Result<FederatedPlan> BuildPlan(
     std::vector<std::string> sources;
   };
   std::vector<PlannedStar> planned;
-  obs::Span select_span(recorder, "source-select", plan_span.id());
+  obs::Span select_span(recorder, "source-select", plan_span);
   for (StarSubQuery& star : decomposed.stars) {
     std::vector<std::string> sources =
         route_around_open(SelectSources(star, catalog));
@@ -735,17 +782,74 @@ Result<FederatedPlan> BuildPlan(
   if (!decomposed.global_filters.empty()) {
     root = MakeFilterNode(std::move(root), decomposed.global_filters);
   }
-  if (!query.order_by.empty()) {
-    root = MakeOrderByNode(std::move(root), query.order_by);
+  plan.variables = query.EffectiveProjection();
+  plan.root = AddSolutionModifiers(std::move(root), query);
+  return plan;
+}
+
+// Plans the whole query as one tree. An aggregate groups the plan of its
+// input query at the mediator; UNION branches, each planned as a query of
+// its own, merge under one Union node. The solution modifiers go on top.
+Result<FederatedPlan> PlanQuery(
+    const sparql::SelectQuery& query, const mapping::RdfMtCatalog& catalog,
+    const std::map<std::string, SourceWrapper*>& wrappers,
+    const PlanOptions& options, uint64_t plan_span) {
+  if (query.HasAggregates()) {
+    LAKEFED_ASSIGN_OR_RETURN(
+        FederatedPlan plan,
+        PlanQuery(AggregateInput(query), catalog, wrappers, options,
+                  plan_span));
+    plan.decisions.push_back(
+        "aggregate: GROUP BY evaluated at the mediator over the federated "
+        "solutions");
+    plan.root = AddSolutionModifiers(
+        MakeAggregateNode(std::move(plan.root), query.group_by,
+                          query.aggregates),
+        query);
+    plan.variables = query.EffectiveProjection();
+    return plan;
+  }
+  if (query.unions.empty()) {
+    return PlanBranch(query, catalog, wrappers, options, plan_span);
+  }
+  std::vector<sparql::SelectQuery> branches = sparql::ExpandUnions(query);
+  // Branches also project the ORDER BY variables, so the sort above the
+  // union sees them; the projection above the sort drops them again.
+  std::vector<std::string> branch_vars = query.EffectiveProjection();
+  for (const sparql::OrderCondition& cond : query.order_by) {
+    if (std::find(branch_vars.begin(), branch_vars.end(), cond.variable) ==
+        branch_vars.end()) {
+      branch_vars.push_back(cond.variable);
+    }
+  }
+  FederatedPlan plan;
+  plan.decisions.push_back("UNION: " + std::to_string(branches.size()) +
+                           " branch combination(s) planned under one Union");
+  std::vector<FedPlanPtr> roots;
+  for (size_t i = 0; i < branches.size(); ++i) {
+    branches[i].variables = branch_vars;
+    LAKEFED_ASSIGN_OR_RETURN(
+        FederatedPlan branch,
+        PlanBranch(branches[i], catalog, wrappers, options, plan_span));
+    for (const std::string& d : branch.decisions) {
+      plan.decisions.push_back("branch " + std::to_string(i + 1) + ": " + d);
+    }
+    roots.push_back(std::move(branch.root));
   }
   plan.variables = query.EffectiveProjection();
-  root = MakeProjectNode(std::move(root), plan.variables);
-  if (query.distinct) root = MakeDistinctNode(std::move(root));
-  if (query.limit.has_value()) {
-    root = MakeLimitNode(std::move(root), *query.limit);
-  }
-  plan.root = std::move(root);
+  plan.root = AddSolutionModifiers(MakeUnionNode(std::move(roots)), query);
   return plan;
+}
+
+}  // namespace
+
+Result<FederatedPlan> BuildPlan(
+    const sparql::SelectQuery& query, const mapping::RdfMtCatalog& catalog,
+    const std::map<std::string, SourceWrapper*>& wrappers,
+    const PlanOptions& options) {
+  obs::Span plan_span(options.collect_metrics ? options.spans : nullptr,
+                      "plan", options.parent_span);
+  return PlanQuery(query, catalog, wrappers, options, plan_span.id());
 }
 
 }  // namespace lakefed::fed

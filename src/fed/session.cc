@@ -1,17 +1,13 @@
 #include "fed/session.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <iterator>
-#include <set>
 
 #include "fed/breaker.h"
 #include "fed/cache.h"
 #include "fed/fingerprint.h"
 #include "fed/planner.h"
 #include "obs/querylog.h"
-#include "sparql/aggregate.h"
-#include "sparql/filter_expr.h"
 #include "stats/stats_catalog.h"
 
 namespace lakefed::fed {
@@ -31,19 +27,6 @@ std::string ShortDigest(const std::string& s) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(h));
   return buf;
-}
-
-// DISTINCT key of `row` projected on `vars`: rdf::AppendTermKey encodings
-// behind a byte telling bound from unbound, so equal keys mean equal rows.
-std::string ProjectedRowKey(const rdf::Binding& row,
-                            const std::vector<std::string>& vars) {
-  std::string key;
-  for (const std::string& var : vars) {
-    auto it = row.find(var);
-    key.push_back(it == row.end() ? '\0' : '\1');
-    if (it != row.end()) rdf::AppendTermKey(it->second, &key);
-  }
-  return key;
 }
 
 }  // namespace
@@ -81,48 +64,23 @@ Result<std::unique_ptr<ResultStream>> ResultStream::Create(
     stream->options_.metrics = nullptr;
     stream->options_.spans = nullptr;
   }
-  const sparql::SelectQuery& q = stream->query_;
-
-  // Aggregates group the merged solutions at the mediator: inherently
-  // blocking, so the session runs buffered.
-  if (q.HasAggregates()) {
-    stream->buffered_ = true;
-    stream->variables_ = q.EffectiveProjection();
-    return stream;
-  }
-
-  stream->branches_ = sparql::ExpandUnions(q);
-  if (stream->branches_.size() > 1) {
-    const bool modifiers =
-        !q.order_by.empty() || q.distinct || q.limit.has_value();
-    if (modifiers) {
-      // ORDER BY / DISTINCT / LIMIT apply across the merged branches, so
-      // the union cannot stream: run buffered.
-      stream->buffered_ = true;
-      stream->variables_ = q.EffectiveProjection();
-      stream->branches_.clear();
-      return stream;
-    }
-    // Pure bag union: branches stream sequentially on one clock.
-    stream->variables_ = q.EffectiveProjection();
-    for (sparql::SelectQuery& branch : stream->branches_) {
-      branch.variables = stream->variables_;
-    }
-  }
-
-  // Streaming mode: plan and spawn the first branch now, so creation
-  // errors surface here and the dataflow is already running when the
-  // stream is handed out.
-  LAKEFED_RETURN_NOT_OK(stream->StartBranch());
+  // Plan the whole query and spawn its dataflow now, so creation errors
+  // surface here and the dataflow is already running when the stream is
+  // handed out.
+  LAKEFED_ASSIGN_OR_RETURN(stream->plan_, stream->PlanQuery());
+  stream->variables_ = stream->plan_->variables;
+  stream->plan_text_ = stream->plan_->Explain();
+  stream->execution_ = std::make_unique<PlanExecution>(
+      wrappers, stream->options_, stream->token_);
+  stream->execution_->Start(*stream->plan_);
   return stream;
 }
 
-Result<std::shared_ptr<const FederatedPlan>> ResultStream::PlanBranch(
-    const sparql::SelectQuery& branch) {
+Result<std::shared_ptr<const FederatedPlan>> ResultStream::PlanQuery() {
   PlanCache* cache = options_.plan_cache ? options_.plans : nullptr;
   if (cache == nullptr) {
     LAKEFED_ASSIGN_OR_RETURN(
-        FederatedPlan plan, BuildPlan(branch, catalog_, wrappers_, options_));
+        FederatedPlan plan, BuildPlan(query_, catalog_, wrappers_, options_));
     return std::make_shared<const FederatedPlan>(std::move(plan));
   }
   // Stamp *before* planning: a concurrent epoch bump mid-plan then makes
@@ -136,7 +94,7 @@ Result<std::shared_ptr<const FederatedPlan>> ResultStream::PlanBranch(
   if (options_.breakers != nullptr) {
     stamp.routing = options_.breakers->routing_epoch();
   }
-  const std::string key = FingerprintQuery(branch, options_).CacheKey();
+  const std::string key = FingerprintQuery(query_, options_).CacheKey();
   if (std::shared_ptr<const FederatedPlan> hit = cache->Lookup(key, stamp)) {
     if (options_.metrics != nullptr) {
       options_.metrics->GetCounter("cache.plan.hit")->Increment();
@@ -150,41 +108,21 @@ Result<std::shared_ptr<const FederatedPlan>> ResultStream::PlanBranch(
     options_.metrics->GetCounter("cache.plan.miss")->Increment();
   }
   LAKEFED_ASSIGN_OR_RETURN(FederatedPlan plan,
-                           BuildPlan(branch, catalog_, wrappers_, options_));
+                           BuildPlan(query_, catalog_, wrappers_, options_));
   auto shared = std::make_shared<const FederatedPlan>(std::move(plan));
   cache->Insert(key, options_.cache_scope, shared, stamp);
   return shared;
 }
 
-Status ResultStream::StartBranch() {
-  branch_start_s_ = stopwatch_.ElapsedSeconds();
-  LAKEFED_ASSIGN_OR_RETURN(std::shared_ptr<const FederatedPlan> plan,
-                           PlanBranch(branches_[branch_index_]));
-  if (branch_index_ == 0 && branches_.size() == 1) {
-    variables_ = plan->variables;
-  }
-  plan_text_ += plan->Explain();
-  active_plan_ = plan;
-  execution_ = std::make_unique<PlanExecution>(wrappers_, options_, token_);
-  execution_->Start(*plan);
-  return Status::OK();
-}
-
-void ResultStream::AccumulateExecution() {
-  stats_.MergeFrom(execution_->stats());
-  // Branch executions keep event times relative to their own start; shift
-  // them onto the session clock (branches run sequentially).
-  for (const AnswerTrace::Event& event : execution_->trace_events()) {
-    trace_.events.push_back({branch_start_s_ + event.time_s, event.label});
-  }
-  const auto& ops = execution_->operator_rows();
-  operator_rows_.insert(operator_rows_.end(), ops.begin(), ops.end());
-  const auto& ests = execution_->operator_estimates();
-  operator_estimates_.insert(operator_estimates_.end(), ests.begin(),
-                             ests.end());
-  const auto& runtime = execution_->operator_runtime();
-  operator_runtime_.insert(operator_runtime_.end(), runtime.begin(),
-                           runtime.end());
+Status ResultStream::FinishExecution() {
+  Status terminal = execution_->Finish();
+  stats_ = execution_->stats();
+  trace_.events = execution_->trace_events();
+  operator_rows_ = execution_->operator_rows();
+  operator_estimates_ = execution_->operator_estimates();
+  operator_runtime_ = execution_->operator_runtime();
+  execution_.reset();
+  return terminal;
 }
 
 bool ResultStream::NextBatch(RowBatch* batch) {
@@ -201,97 +139,34 @@ bool ResultStream::NextBatch(RowBatch* batch) {
     return true;
   }
   if (ended_ || finished_) return false;
-  return buffered_ ? NextBatchBuffered(batch) : NextBatchStreaming(batch);
+  return PullBatch(batch);
 }
 
 bool ResultStream::Next(rdf::Binding* row) {
   if (shim_pos_ >= shim_pending_.size()) {
     shim_pending_.clear();
     shim_pos_ = 0;
-    if (ended_ || finished_) return false;
-    const bool ok = buffered_ ? NextBatchBuffered(&shim_pending_)
-                              : NextBatchStreaming(&shim_pending_);
-    if (!ok) return false;
+    if (ended_ || finished_ || !PullBatch(&shim_pending_)) return false;
   }
   *row = std::move(shim_pending_.rows[shim_pos_]);
   ++shim_pos_;
   return true;
 }
 
-bool ResultStream::NextBatchStreaming(RowBatch* batch) {
-  for (;;) {
-    if (execution_ != nullptr && execution_->NextBatch(batch)) {
-      // The whole morsel became available to the client together: its rows
-      // share one arrival timestamp in the answer trace.
-      const double now = stopwatch_.ElapsedSeconds();
-      trace_.timestamps.insert(trace_.timestamps.end(), batch->size(), now);
-      return true;
-    }
-    // Current branch exhausted (completed, errored or cancelled).
-    trace_.completion_seconds = stopwatch_.ElapsedSeconds();
-    if (execution_ != nullptr) {
-      Status branch_status = execution_->Finish();
-      AccumulateExecution();
-      execution_.reset();
-      if (!branch_status.ok()) {
-        status_ = branch_status;
-        ended_ = true;
-        return false;
-      }
-    }
-    ++branch_index_;
-    if (branch_index_ >= branches_.size()) {
-      ended_ = true;
-      fully_drained_ = true;
-      return false;
-    }
-    Status start_status = StartBranch();
-    if (!start_status.ok()) {
-      status_ = start_status;
-      ended_ = true;
-      return false;
-    }
+bool ResultStream::PullBatch(RowBatch* batch) {
+  if (execution_->NextBatch(batch)) {
+    // The whole morsel became available to the client together: its rows
+    // share one arrival timestamp in the answer trace.
+    const double now = stopwatch_.ElapsedSeconds();
+    trace_.timestamps.insert(trace_.timestamps.end(), batch->size(), now);
+    return true;
   }
-}
-
-bool ResultStream::NextBatchBuffered(RowBatch* batch) {
-  if (!buffered_ran_) {
-    buffered_ran_ = true;
-    Result<QueryAnswer> answer = RunBlocking(query_);
-    if (!answer.ok()) {
-      status_ = answer.status();
-      ended_ = true;
-      return false;
-    }
-    variables_ = std::move(answer->variables);
-    buffered_rows_ = std::move(answer->rows);
-    trace_ = std::move(answer->trace);
-    stats_ = answer->stats;
-    plan_text_ = std::move(answer->plan_text);
-    operator_rows_ = std::move(answer->operator_rows);
-    operator_estimates_ = std::move(answer->operator_estimates);
-    operator_runtime_ = std::move(answer->operator_runtime);
-  }
-  if (token_.IsCancelled()) {
-    status_ = token_.ToStatus();
-    ended_ = true;
-    return false;
-  }
-  if (buffered_cursor_ >= buffered_rows_.size()) {
-    ended_ = true;
-    fully_drained_ = true;
-    return false;
-  }
-  // Serve the next batch_size-slice of the materialized answer.
-  const size_t take = std::min(std::max<size_t>(1, options_.batch_size),
-                               buffered_rows_.size() - buffered_cursor_);
-  batch->rows.assign(
-      std::make_move_iterator(buffered_rows_.begin() +
-                              static_cast<ptrdiff_t>(buffered_cursor_)),
-      std::make_move_iterator(buffered_rows_.begin() +
-                              static_cast<ptrdiff_t>(buffered_cursor_ + take)));
-  buffered_cursor_ += take;
-  return true;
+  // End of stream: completed, errored, cancelled or expired.
+  trace_.completion_seconds = stopwatch_.ElapsedSeconds();
+  ended_ = true;
+  status_ = FinishExecution();
+  fully_drained_ = status_.ok();
+  return false;
 }
 
 void ResultStream::Cancel() {
@@ -305,14 +180,10 @@ Status ResultStream::Finish() {
     // Abandoned mid-stream: tear the dataflow down cooperatively before
     // joining, so producers blocked on full queues unwind.
     if (token_.can_cancel() && !token_.IsCancelled()) token_.Cancel();
-    if (!buffered_ && trace_.completion_seconds == 0) {
-      trace_.completion_seconds = stopwatch_.ElapsedSeconds();
-    }
+    trace_.completion_seconds = stopwatch_.ElapsedSeconds();
   }
   if (execution_ != nullptr) {
-    Status terminal = execution_->Finish();
-    AccumulateExecution();
-    execution_.reset();
+    Status terminal = FinishExecution();
     if (status_.ok()) status_ = terminal;
   }
   if (status_.ok() && !fully_drained_) status_ = token_.ToStatus();
@@ -428,179 +299,6 @@ Result<QueryAnswer> ResultStream::Drain() {
   answer.operator_runtime = operator_runtime_;
   answer.metrics_json = metrics_json_;
   return answer;
-}
-
-Result<QueryAnswer> ResultStream::RunBlocking(
-    const sparql::SelectQuery& original) {
-  // Aggregates always run at the mediator: execute the aggregate-free inner
-  // query federated, then group the merged solutions here.
-  if (original.HasAggregates()) {
-    sparql::SelectQuery inner = original;
-    inner.aggregates.clear();
-    inner.group_by.clear();
-    inner.order_by.clear();
-    inner.limit.reset();
-    inner.distinct = false;
-    inner.select_all = false;
-    bool count_star = false;
-    std::set<std::string> needed(original.group_by.begin(),
-                                 original.group_by.end());
-    for (const sparql::SelectAggregate& agg : original.aggregates) {
-      if (agg.var.empty()) {
-        count_star = true;
-      } else {
-        needed.insert(agg.var);
-      }
-    }
-    inner.variables =
-        count_star ? original.PatternVariables()
-                   : std::vector<std::string>(needed.begin(), needed.end());
-    if (inner.variables.empty()) {
-      inner.variables = original.PatternVariables();
-    }
-    LAKEFED_ASSIGN_OR_RETURN(QueryAnswer base, RunBlocking(inner));
-    QueryAnswer answer;
-    answer.variables = original.EffectiveProjection();
-    answer.plan_text = base.plan_text + "-> EngineAggregate (GROUP BY at "
-                                        "the mediator)\n";
-    answer.stats = base.stats;
-    answer.operator_rows = std::move(base.operator_rows);
-    answer.operator_estimates = std::move(base.operator_estimates);
-    answer.operator_runtime = std::move(base.operator_runtime);
-    std::vector<rdf::Binding> aggregated = sparql::AggregateSolutions(
-        base.rows, original.group_by, original.aggregates);
-    sparql::SortBindings(&aggregated, original.order_by);
-    if (original.distinct) {
-      std::set<std::string> seen;
-      std::vector<rdf::Binding> rows;
-      for (rdf::Binding& row : aggregated) {
-        if (seen.insert(ProjectedRowKey(row, answer.variables)).second) {
-          rows.push_back(std::move(row));
-        }
-      }
-      aggregated = std::move(rows);
-    }
-    if (original.limit.has_value() &&
-        aggregated.size() > static_cast<size_t>(*original.limit)) {
-      aggregated.resize(static_cast<size_t>(*original.limit));
-    }
-    answer.rows = std::move(aggregated);
-    // Aggregation is blocking: all answers materialize at completion time.
-    answer.trace.completion_seconds = base.trace.completion_seconds;
-    answer.trace.timestamps.assign(answer.rows.size(),
-                                   base.trace.completion_seconds);
-    answer.operator_rows.emplace_back("EngineAggregate",
-                                      answer.rows.size());
-    answer.operator_estimates.push_back(-1.0);
-    answer.operator_runtime.emplace_back();  // mediator op: no queue/wall data
-    return answer;
-  }
-
-  const sparql::SelectQuery& query = original;
-  std::vector<sparql::SelectQuery> branches = sparql::ExpandUnions(query);
-  if (branches.size() == 1) {
-    LAKEFED_ASSIGN_OR_RETURN(std::shared_ptr<const FederatedPlan> plan,
-                             PlanBranch(branches.front()));
-    active_plan_ = plan;
-    return ExecutePlan(*plan, wrappers_, options_, token_);
-  }
-
-  // UNION: execute every branch combination and merge (bag union), then
-  // apply ORDER BY / DISTINCT / LIMIT over the merged rows at the engine.
-  QueryAnswer merged;
-  merged.variables = query.EffectiveProjection();
-  // Branches additionally project ORDER BY variables so the merged sort can
-  // see them; they are stripped again after sorting.
-  std::vector<std::string> extended = merged.variables;
-  for (const sparql::OrderCondition& cond : query.order_by) {
-    if (std::find(extended.begin(), extended.end(), cond.variable) ==
-        extended.end()) {
-      extended.push_back(cond.variable);
-    }
-  }
-  double offset = 0;
-  for (sparql::SelectQuery& branch : branches) {
-    branch.variables = extended;
-    LAKEFED_ASSIGN_OR_RETURN(std::shared_ptr<const FederatedPlan> plan,
-                             PlanBranch(branch));
-    active_plan_ = plan;
-    LAKEFED_ASSIGN_OR_RETURN(QueryAnswer part,
-                             ExecutePlan(*plan, wrappers_, options_, token_));
-    merged.plan_text += plan->Explain();
-    for (size_t i = 0; i < part.rows.size(); ++i) {
-      merged.trace.timestamps.push_back(offset + part.trace.timestamps[i]);
-      merged.rows.push_back(std::move(part.rows[i]));
-    }
-    for (const AnswerTrace::Event& event : part.trace.events) {
-      merged.trace.events.push_back({offset + event.time_s, event.label});
-    }
-    offset += part.trace.completion_seconds;
-    merged.stats.MergeFrom(part.stats);
-    merged.operator_rows.insert(merged.operator_rows.end(),
-                                part.operator_rows.begin(),
-                                part.operator_rows.end());
-    merged.operator_estimates.insert(merged.operator_estimates.end(),
-                                     part.operator_estimates.begin(),
-                                     part.operator_estimates.end());
-    merged.operator_runtime.insert(merged.operator_runtime.end(),
-                                   part.operator_runtime.begin(),
-                                   part.operator_runtime.end());
-  }
-  merged.trace.completion_seconds = offset;
-
-  if (!query.order_by.empty()) {
-    // Pair rows with timestamps so the trace stays aligned after sorting.
-    std::vector<size_t> order(merged.rows.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(
-        order.begin(), order.end(), [&](size_t ia, size_t ib) {
-          const rdf::Binding& a = merged.rows[ia];
-          const rdf::Binding& b = merged.rows[ib];
-          for (const sparql::OrderCondition& cond : query.order_by) {
-            auto ita = a.find(cond.variable);
-            auto itb = b.find(cond.variable);
-            bool ba = ita != a.end(), bb = itb != b.end();
-            int c;
-            if (!ba && !bb) {
-              c = 0;
-            } else if (ba != bb) {
-              c = ba ? 1 : -1;
-            } else {
-              c = sparql::CompareTermsSparql(ita->second, itb->second);
-            }
-            if (c != 0) return cond.ascending ? c < 0 : c > 0;
-          }
-          return false;
-        });
-    std::vector<rdf::Binding> rows;
-    rows.reserve(order.size());
-    for (size_t idx : order) rows.push_back(std::move(merged.rows[idx]));
-    merged.rows = std::move(rows);
-  }
-  if (query.distinct) {
-    std::set<std::string> seen;
-    std::vector<rdf::Binding> rows;
-    for (rdf::Binding& row : merged.rows) {
-      if (seen.insert(ProjectedRowKey(row, merged.variables)).second) {
-        rows.push_back(std::move(row));
-      }
-    }
-    merged.rows = std::move(rows);
-  }
-  if (query.limit.has_value() &&
-      merged.rows.size() > static_cast<size_t>(*query.limit)) {
-    merged.rows.resize(static_cast<size_t>(*query.limit));
-  }
-  // Strip the sort-only variables.
-  if (extended.size() > merged.variables.size()) {
-    for (rdf::Binding& row : merged.rows) {
-      for (size_t i = merged.variables.size(); i < extended.size(); ++i) {
-        row.erase(extended[i]);
-      }
-    }
-  }
-  merged.trace.timestamps.resize(merged.rows.size());
-  return merged;
 }
 
 }  // namespace lakefed::fed

@@ -64,14 +64,12 @@ struct QueryRequest {
 // dataflow (operator tasks and leaf jobs) is already running when the
 // stream is handed out, so Next() simply pulls from the plan's root queue.
 //
-// Two internal modes, chosen from the query shape:
-//  * streaming — plain queries and pure UNIONs: rows surface incrementally
-//    while sources are still delivering (UNION branches run sequentially on
-//    one clock).
-//  * buffered — aggregates, and UNIONs under ORDER BY / DISTINCT / LIMIT:
-//    these are blocking by nature, so the first Next() materializes the
-//    whole answer at the mediator (still cancellable cooperatively) and the
-//    rows stream out of the buffer.
+// Every query runs one way: one plan for the whole query (UNION branches
+// under one Union operator, aggregates in an Aggregate operator, the
+// solution modifiers on top) executed by one PlanExecution. UNION branches
+// run concurrently; blocking operators (ORDER BY, aggregates) hold their
+// output back until their input is complete, and a LIMIT cancels the
+// upstream work it no longer needs.
 //
 // Threading: Next(), Finish() and Drain() belong to one consumer thread;
 // Cancel() may be called concurrently from any thread. trace()/stats()/
@@ -124,8 +122,7 @@ class ResultStream {
   // Complete after Finish().
   const ExecutionStats& stats() const { return stats_; }
 
-  // EXPLAIN text of the executed plan(s). For UNIONs, branch plans append
-  // as they start.
+  // EXPLAIN text of the executed plan. Valid from creation.
   const std::string& plan_text() const { return plan_text_; }
 
   // Rows emitted per operator, in spawn order. Complete after Finish().
@@ -172,8 +169,7 @@ class ResultStream {
                sparql::SelectQuery query, PlanOptions options,
                CancellationToken token);
 
-  // Plans the first branch and spawns its dataflow (streaming mode) or
-  // records the buffered-mode pending state. Returns the creation error, if
+  // Plans the query and spawns its dataflow. Returns the creation error, if
   // any; called by FederatedEngine::CreateSession. `spans` (may be null)
   // transfers ownership of the session's span recorder with `session_span`
   // as its root; `engine_metrics` (may be null) receives the session's
@@ -186,22 +182,18 @@ class ResultStream {
       uint64_t session_span = 0,
       obs::MetricsRegistry* engine_metrics = nullptr);
 
-  bool NextBatchStreaming(RowBatch* batch);
-  bool NextBatchBuffered(RowBatch* batch);
-  // Plans one branch query: consults the plan cache first when the session
-  // opted in (PlanOptions::plan_cache), else — and on every miss — runs
-  // BuildPlan. The returned plan is immutable and possibly shared with
-  // concurrent sessions; the session keeps the shared_ptr alive while its
-  // dataflow runs (active_plan_).
-  Result<std::shared_ptr<const FederatedPlan>> PlanBranch(
-      const sparql::SelectQuery& branch);
-  // Plans branches_[branch_index_] and starts its dataflow.
-  Status StartBranch();
-  // Folds a finished PlanExecution's statistics into the session's.
-  void AccumulateExecution();
-  // The blocking evaluation used in buffered mode (aggregates at the
-  // mediator; UNION merge under solution modifiers).
-  Result<QueryAnswer> RunBlocking(const sparql::SelectQuery& query);
+  // Pulls the next morsel from the execution; at end-of-stream finishes it
+  // and records the terminal status.
+  bool PullBatch(RowBatch* batch);
+  // Plans query_: consults the plan cache first when the session opted in
+  // (PlanOptions::plan_cache), else — and on every miss — runs BuildPlan.
+  // The returned plan is immutable and possibly shared with concurrent
+  // sessions; the session keeps the shared_ptr alive while its dataflow
+  // runs (plan_).
+  Result<std::shared_ptr<const FederatedPlan>> PlanQuery();
+  // Finishes the execution, copies its statistics into the session's and
+  // releases it. Returns the execution's terminal status.
+  Status FinishExecution();
 
   const mapping::RdfMtCatalog& catalog_;
   const std::map<std::string, SourceWrapper*>& wrappers_;
@@ -209,19 +201,12 @@ class ResultStream {
   PlanOptions options_;
   CancellationToken token_;
 
-  bool buffered_ = false;
-  std::vector<sparql::SelectQuery> branches_;  // streaming mode
-  size_t branch_index_ = 0;
+  // Null once finished.
   std::unique_ptr<PlanExecution> execution_;
-  // The plan the current execution runs on — kept alive here because plan-
-  // cache hits share one immutable plan across sessions.
-  std::shared_ptr<const FederatedPlan> active_plan_;
+  // The plan the execution runs on — kept alive here because plan-cache
+  // hits share one immutable plan across sessions.
+  std::shared_ptr<const FederatedPlan> plan_;
   Stopwatch stopwatch_;
-  double branch_start_s_ = 0;  // session time the current branch started
-
-  bool buffered_ran_ = false;  // buffered mode
-  std::vector<rdf::Binding> buffered_rows_;
-  size_t buffered_cursor_ = 0;
 
   // Pending batch backing the row-at-a-time Next() shim.
   RowBatch shim_pending_;

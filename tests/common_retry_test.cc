@@ -189,21 +189,26 @@ TEST(RunWithRetryTest, PerAttemptDeadlineExceededIsRetried) {
 
 TEST(RunWithRetryTest, SessionDeadlineExpiryIsTerminal) {
   // The same kDeadlineExceeded error is terminal when the *session* token
-  // expired: IsCancelled() on the session promotes the expiry, so no
-  // further attempts run even though attempts remain in the budget.
+  // expired: no further attempts run even though attempts remain in the
+  // budget. The session expires inside the first attempt — promoted the
+  // way an observed deadline is, by cancelling the session with
+  // kDeadlineExceeded — so the test never races the wall clock. The
+  // attempt runs on a per-attempt child token, whose own timeout would be
+  // retryable: only the session's state makes this error final.
   RetryPolicy policy;
   policy.max_attempts = 5;
   policy.initial_backoff_ms = 0;
   policy.jitter = 0;
-  CancellationToken session = CancellationToken::WithDeadline(
-      CancellationToken::Clock::now() + std::chrono::milliseconds(5));
+  policy.attempt_timeout_ms = 60'000;
+  CancellationToken session = CancellationToken::Cancellable();
   Rng rng(1);
   int calls = 0, retries = -1;
   Status st = RunWithRetry(
       policy, session, &rng,
       [&](const CancellationToken& attempt) {
         ++calls;
-        attempt.SleepFor(50);  // sleep past the session deadline
+        session.CancelWith(Status::DeadlineExceeded("query deadline exceeded"));
+        EXPECT_TRUE(attempt.IsCancelled());
         return attempt.ToStatus();
       },
       &retries);

@@ -104,6 +104,60 @@ TEST(FedRobustnessTest, ErrorInOneUnionBranchPropagates) {
   EXPECT_TRUE(answer.status().IsIoError()) << answer.status();
 }
 
+TEST(FedRobustnessTest, BlockingOperatorsEmitNothingBeforeLeafError) {
+  // The source fails after 10 of its 100 rows. A COUNT or a sort over those
+  // 10 rows would be a wrong answer, so the failed execution must end
+  // before the blocking operator emits anything.
+  for (const char* query :
+       {"SELECT (COUNT(*) AS ?n) WHERE { ?s a <http://t/C> ; "
+        "<http://t/p> ?o . }",
+        "SELECT ?s WHERE { ?s a <http://t/C> ; <http://t/p> ?o . } "
+        "ORDER BY ?s"}) {
+    SCOPED_TRACE(query);
+    auto engine = MakeEngine({{"s1", {.rows = 100, .fail_after = 10}}});
+    ASSERT_NE(engine, nullptr);
+    auto stream = engine->CreateSession(QueryRequest::Text(query, {}));
+    ASSERT_TRUE(stream.ok()) << stream.status();
+    rdf::Binding row;
+    size_t rows = 0;
+    while ((*stream)->Next(&row)) ++rows;
+    EXPECT_TRUE((*stream)->Finish().IsIoError());
+    EXPECT_EQ(rows, 0u);
+  }
+}
+
+TEST(FedRobustnessTest, CancelledLegsAreNotChargedToTheirSources) {
+  // With retries or hedging on, leaves run the recovery ladder or a hedge
+  // race, both of which report every attempt to the source's circuit
+  // breaker. Attempts ended by the session's deadline failed nothing
+  // themselves: the healthy sources must not count a failure or be listed
+  // as failed.
+  PlanOptions retrying;
+  retrying.retry.max_attempts = 3;
+  PlanOptions hedging;
+  hedging.hedge.enabled = true;
+  for (const PlanOptions& options : {retrying, hedging}) {
+    SCOPED_TRACE(options.hedge.enabled ? "hedging" : "retrying");
+    auto engine =
+        MakeEngine({{"a", {.rows = 1000, .sleep_ms_per_row = 5}},
+                    {"b", {.rows = 1000, .sleep_ms_per_row = 5}}});
+    ASSERT_NE(engine, nullptr);
+    QueryRequest request = QueryRequest::Text(kStarQuery, options);
+    request.timeout = std::chrono::milliseconds(100);
+    auto stream = engine->CreateSession(std::move(request));
+    ASSERT_TRUE(stream.ok()) << stream.status();
+    rdf::Binding row;
+    while ((*stream)->Next(&row)) {
+    }
+    EXPECT_TRUE((*stream)->Finish().IsDeadlineExceeded());
+    EXPECT_TRUE((*stream)->stats().failed_sources.empty());
+    for (const BreakerRegistry::Entry& entry :
+         engine->breakers()->Snapshot()) {
+      EXPECT_EQ(entry.total_failures, 0u) << entry.source_id;
+    }
+  }
+}
+
 TEST(FedRobustnessTest, EmptySourceYieldsEmptyResult) {
   auto engine = MakeEngine({{"s1", {.rows = 0}}});
   ASSERT_NE(engine, nullptr);

@@ -188,6 +188,51 @@ TEST(FedSessionTest, DeadlineExpiryReturnsDeadlineExceeded) {
             rows + PlanOptions{}.batch_size);
 }
 
+TEST(FedSessionTest, AggregateSessionDeadlineExpiresPromptly) {
+  // The aggregate holds every row back until its input is complete, which
+  // a 100000-row paced scan never is within the deadline: the session must
+  // still end at the deadline, with no partial group emitted.
+  auto engine =
+      MakeEngine({{"slow", {.rows = 100000, .sleep_ms_per_row = 2}}});
+  ASSERT_NE(engine, nullptr);
+  QueryRequest request = QueryRequest::Text(
+      "SELECT (COUNT(*) AS ?n) WHERE { ?s a <http://t/C> ; "
+      "<http://t/p> ?o . }",
+      {});
+  request.timeout = std::chrono::milliseconds(150);
+
+  Stopwatch sw;
+  auto stream = engine->CreateSession(std::move(request));
+  ASSERT_TRUE(stream.ok()) << stream.status();
+  rdf::Binding row;
+  size_t rows = 0;
+  while ((*stream)->Next(&row)) ++rows;
+  Status st = (*stream)->Finish();
+  EXPECT_TRUE(st.IsDeadlineExceeded()) << st;
+  EXPECT_LT(sw.ElapsedSeconds(), 2.0);
+  EXPECT_EQ(rows, 0u);
+  EXPECT_GT((*stream)->stats().messages_transferred, 0u);
+}
+
+TEST(FedSessionTest, LimitOverUnionCancelsUpstreamWork) {
+  // LIMIT sits above the branch Union in the query's one plan: once it has
+  // its rows the dataflow upstream closes, so neither branch scans its
+  // 100000 paced rows (about 5 s each) to the end.
+  std::vector<PacedWrapper*> wrappers;
+  auto engine = MakeEngine(
+      {{"paced", {.rows = 100000, .sleep_ms_per_row = 0.05}}}, &wrappers);
+  ASSERT_NE(engine, nullptr);
+  Stopwatch sw;
+  auto answer = engine->Execute(
+      "SELECT ?s WHERE { { ?s a <http://t/C> ; <http://t/p> ?o . } UNION "
+      "{ ?s a <http://t/C> ; <http://t/p> ?o . } } LIMIT 3",
+      {});
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(answer->rows.size(), 3u);
+  EXPECT_LT(sw.ElapsedSeconds(), 2.0);
+  EXPECT_LT(wrappers[0]->rows_shipped(), 100000);
+}
+
 TEST(FedSessionTest, DeadlineInterruptsNetworkDelayMidTransfer) {
   // One message costs ~2s of simulated delay: the deadline must wake the
   // wrapper inside DelayChannel::Transfer, not after it.
@@ -316,7 +361,7 @@ TEST(FedSessionTest, ParseErrorSurfacesAtSessionCreation) {
 }
 
 // The blocking shims must produce exactly what a drained session produces —
-// including the buffered paths (aggregates, UNION under modifiers).
+// including the blocking operators (aggregates, UNION under modifiers).
 TEST(FedSessionTest, ShimsMatchDrainedSessionsOnRealLake) {
   auto lake = BuildTinyLake(/*scale=*/0.05);
   ASSERT_NE(lake, nullptr);
@@ -324,18 +369,28 @@ TEST(FedSessionTest, ShimsMatchDrainedSessionsOnRealLake) {
       // Plain star (streaming).
       "PREFIX dsv: <http://lslod.example.org/diseasome/vocab#> "
       "SELECT ?d ?n WHERE { ?d a dsv:Disease ; dsv:name ?n . }",
-      // Aggregate (buffered at the mediator).
+      // Aggregate (grouped at the mediator).
       "PREFIX dsv: <http://lslod.example.org/diseasome/vocab#> "
       "SELECT ?c (COUNT(?d) AS ?n) WHERE { ?d a dsv:Disease ; "
       "dsv:subtype ?c . } GROUP BY ?c",
-      // UNION under ORDER BY + LIMIT (buffered merge).
+      // UNION under ORDER BY + LIMIT.
       "PREFIX dsv: <http://lslod.example.org/diseasome/vocab#> "
       "SELECT ?n WHERE { { ?d a dsv:Disease ; dsv:name ?n . } UNION "
       "{ ?g a dsv:Gene ; dsv:geneSymbol ?n . } } ORDER BY ?n LIMIT 25",
-      // Pure UNION (streaming, sequential branches).
+      // Pure UNION (branches stream concurrently).
       "PREFIX dsv: <http://lslod.example.org/diseasome/vocab#> "
       "SELECT ?n WHERE { { ?d a dsv:Disease ; dsv:name ?n . } UNION "
       "{ ?g a dsv:Gene ; dsv:geneSymbol ?n . } }",
+      // Aggregate over a UNION under ORDER BY + LIMIT (ties in ?n broken
+      // by the unique group key, so the first five rows are determined).
+      "PREFIX dsv: <http://lslod.example.org/diseasome/vocab#> "
+      "SELECT ?c (COUNT(?x) AS ?n) WHERE { { ?x a dsv:Disease ; "
+      "dsv:subtype ?c . } UNION { ?x a dsv:Gene ; dsv:chromosome ?c . } } "
+      "GROUP BY ?c ORDER BY DESC(?n) ?c LIMIT 5",
+      // SELECT DISTINCT over a UNION.
+      "PREFIX dsv: <http://lslod.example.org/diseasome/vocab#> "
+      "SELECT DISTINCT ?c WHERE { { ?d a dsv:Disease ; dsv:subtype ?c . } "
+      "UNION { ?g a dsv:Gene ; dsv:chromosome ?c . } }",
   };
   PlanOptions options;
   for (const std::string& query : queries) {

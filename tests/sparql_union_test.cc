@@ -212,5 +212,37 @@ SELECT ?e WHERE {
       << plan->Explain();
 }
 
+// The plan of a UNION query covers every branch: EXPLAIN and the session's
+// plan text both show one Union whose subtree holds a service leaf of each
+// branch's source.
+TEST(FederatedUnionTest, PlanShowsEveryBranchUnderOneUnion) {
+  auto lake = BuildTinyLake(0.02);
+  ASSERT_NE(lake, nullptr);
+  const std::string query = R"(
+PREFIX db: <http://lslod.example.org/drugbank/vocab#>
+PREFIX goa: <http://lslod.example.org/goa/vocab#>
+SELECT ?e WHERE {
+  { ?e a db:Drug . } UNION { ?e a goa:Annotation . }
+})";
+  fed::PlanOptions options;
+  auto plan = lake->engine->Plan(query, options);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  auto stream =
+      lake->engine->CreateSession(fed::QueryRequest::Text(query, options));
+  ASSERT_TRUE(stream.ok()) << stream.status();
+  for (const std::string& text : {plan->Explain(), (*stream)->plan_text()}) {
+    const size_t union_pos = text.find("Union (2 branches)");
+    ASSERT_NE(union_pos, std::string::npos) << text;
+    EXPECT_EQ(text.find("Union (2 branches)", union_pos + 1),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("Service[drugbank]", union_pos), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("Service[goa]", union_pos), std::string::npos)
+        << text;
+  }
+  ASSERT_TRUE((*stream)->Drain().ok());
+}
+
 }  // namespace
 }  // namespace lakefed::sparql
