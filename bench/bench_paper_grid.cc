@@ -2,10 +2,10 @@
 // query (Q1..Q5) x both QEP families (physical-design aware / unaware) x
 // every network profile (NoDelay, Gamma1..Gamma3), each cell executed
 // through a profiled session. Per cell the driver records first-answer
-// time, completion time, shipped rows and a QueryProfile summary (max
-// q-error, backpressure-dominant operator, total queue waits, peak queue
-// depth), printing a per-network table and writing the 5x2x4 = 40-cell grid
-// as BENCH_paper_grid.json (the `bench_paper_grid_json` target). One cell
+// time, completion time, shipped rows and a summary of the per-operator
+// records (max q-error, total queue waits, peak queue depth), printing a
+// per-network table and writing the 5x2x4 = 40-cell grid as
+// BENCH_paper_grid.json (the `bench_paper_grid_json` target). One cell
 // (Q3 / aware / Gamma3) additionally exports its span tree as a Chrome
 // trace in BENCH_paper_grid_trace.json.
 //
@@ -35,9 +35,8 @@ struct Cell {
   std::string query;
   std::string mode;  // "aware" | "unaware"
   RunResult run;
-  // QueryProfile summary.
+  // Summary of the per-operator records.
   double max_q_error = -1;
-  std::string backpressure_op;
   double push_wait_ms = 0;
   double pop_wait_ms = 0;
   uint64_t peak_queue_depth = 0;
@@ -78,12 +77,11 @@ Cell RunCellOnce(const lslod::DataLake& lake,
   c.cache_hits = answer->stats.sub_answer_hits;
 
   obs::QueryProfile prof = (*stream)->profile();
-  c.max_q_error = prof.max_q_error;
-  c.backpressure_op = prof.backpressure_dominant;
-  for (const obs::QueryProfile::Operator& op : prof.operators) {
+  c.max_q_error = prof.MaxQError();
+  for (const obs::OperatorRuntime& op : prof.operators) {
     c.push_wait_ms += op.push_wait_ms;
     c.pop_wait_ms += op.pop_wait_ms;
-    c.peak_queue_depth = std::max(c.peak_queue_depth, op.peak_queue_depth);
+    c.peak_queue_depth = std::max(c.peak_queue_depth, op.peak_depth);
   }
 
   // One representative Chrome trace rides along with the grid, so the
@@ -133,9 +131,9 @@ void Run() {
   for (const net::NetworkProfile& profile :
        net::NetworkProfile::PaperProfiles()) {
     std::printf("\n-- %s --\n", profile.name.c_str());
-    std::printf("%-5s %-8s %8s %10s %10s %10s %9s %10s  %s\n", "query",
-                "mode", "answers", "shipped", "t_first_s", "t_total_s",
-                "q-err", "wait_ms", "backpressure op");
+    std::printf("%-5s %-8s %8s %10s %10s %10s %9s %10s\n", "query", "mode",
+                "answers", "shipped", "t_first_s", "t_total_s", "q-err",
+                "wait_ms");
     for (const lslod::BenchmarkQuery& query : lslod::BenchmarkQueries()) {
       size_t aware_answers = 0;
       for (fed::PlanMode mode : {fed::PlanMode::kPhysicalDesignAware,
@@ -151,14 +149,12 @@ void Run() {
                        c.run.answers);
           std::exit(1);
         }
-        std::printf("%-5s %-8s %8zu %10llu %10.3f %10.3f %9s %10.2f  %s\n",
+        std::printf("%-5s %-8s %8zu %10llu %10.3f %10.3f %9s %10.2f\n",
                     c.query.c_str(), c.mode.c_str(), c.run.answers,
                     static_cast<unsigned long long>(c.run.transferred),
                     c.run.first_s, c.run.total_s,
                     c.max_q_error < 0 ? "-" : "est",
-                    c.push_wait_ms + c.pop_wait_ms,
-                    c.backpressure_op.empty() ? "-"
-                                              : c.backpressure_op.c_str());
+                    c.push_wait_ms + c.pop_wait_ms);
         cells.push_back(std::move(c));
       }
     }
@@ -181,7 +177,6 @@ void Run() {
         .Set("total_s", c.run.total_s)
         .Set("first_s", c.run.first_s)
         .Set("max_q_error", c.max_q_error)
-        .Set("backpressure_op", c.backpressure_op)
         .Set("push_wait_ms", c.push_wait_ms)
         .Set("pop_wait_ms", c.pop_wait_ms)
         .Set("peak_queue_depth", c.peak_queue_depth)

@@ -104,7 +104,7 @@ BENCHMARK(BM_FederatedJoinBatchSize)
 void BM_DelayChannelNoDelayOverhead(benchmark::State& state) {
   net::DelayChannel channel(net::NetworkProfile::NoDelay(), 1);
   for (auto _ : state) {
-    channel.Transfer();
+    benchmark::DoNotOptimize(channel.Transfer(CancellationToken()));
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -46,8 +46,8 @@
 //   .profile <id|SPARQL>  EXPLAIN ANALYZE profile: runs the query (cost
 //                         model on) and prints per-operator estimated vs
 //                         actual rows with q-errors, the wall/compute/
-//                         queue-wait/network time split, the backpressure-
-//                         dominant operator and per-source traffic
+//                         queue-wait/network time split, rows/s and
+//                         per-source traffic
 //   .trace <id|SPARQL> <file>   execute a query and write its span tree as
 //                         Chrome trace-event JSON (load the file in
 //                         chrome://tracing or ui.perfetto.dev)
@@ -248,8 +248,8 @@ class Shell {
           "  .spans <id|SPARQL>    run a query and print its span tree\n"
           "  .profile <id|SPARQL>  EXPLAIN ANALYZE: per-operator est vs "
           "actual rows (q-errors),\n"
-          "      wall/compute/queue-wait/network split, backpressure "
-          "verdict\n"
+          "      wall/compute/queue-wait/network split, per-source "
+          "traffic\n"
           "  .trace <id|SPARQL> <file>   run a query and export a Chrome "
           "trace (chrome://tracing)\n"
           "  .cache [on|off|clear]   plan/sub-answer cache stats and "

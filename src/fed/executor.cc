@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <functional>
 #include <iterator>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -118,28 +117,26 @@ class OpRuntimeRec : public QueueWaitObserver {
     measured_.store(true, std::memory_order_relaxed);
   }
 
-  // Call after every task and I/O job of the dataflow has finished.
-  obs::OperatorRuntime Snapshot(std::string source_id) const {
-    obs::OperatorRuntime rt;
-    rt.source_id = std::move(source_id);
-    rt.wall_ms = measured_.load(std::memory_order_relaxed)
-                     ? static_cast<double>(
-                           wall_us_.load(std::memory_order_relaxed)) /
-                           1e3
-                     : -1;
-    rt.push_waits = push_waits_.load(std::memory_order_relaxed);
-    rt.push_wait_ms =
+  // Writes the runtime fields of the operator's record. Call after every
+  // task and I/O job of the dataflow has finished.
+  void Fill(obs::OperatorRuntime* rt) const {
+    rt->wall_ms = measured_.load(std::memory_order_relaxed)
+                      ? static_cast<double>(
+                            wall_us_.load(std::memory_order_relaxed)) /
+                            1e3
+                      : -1;
+    rt->push_waits = push_waits_.load(std::memory_order_relaxed);
+    rt->push_wait_ms =
         static_cast<double>(push_wait_us_.load(std::memory_order_relaxed)) /
         1e3;
-    rt.pop_waits = pop_waits_.load(std::memory_order_relaxed);
-    rt.pop_wait_ms =
+    rt->pop_waits = pop_waits_.load(std::memory_order_relaxed);
+    rt->pop_wait_ms =
         static_cast<double>(pop_wait_us_.load(std::memory_order_relaxed)) /
         1e3;
-    rt.depth_samples = depth_samples_.load(std::memory_order_relaxed);
-    rt.peak_depth = peak_depth_.load(std::memory_order_relaxed);
-    rt.depth_sum =
+    rt->depth_samples = depth_samples_.load(std::memory_order_relaxed);
+    rt->peak_depth = peak_depth_.load(std::memory_order_relaxed);
+    rt->depth_sum =
         static_cast<double>(depth_sum_.load(std::memory_order_relaxed));
-    return rt;
   }
 
  private:
@@ -745,10 +742,10 @@ class PlanExecution::Impl {
     for (const auto& [source, channel] : channels_) {
       stats_.messages_transferred += channel->messages_transferred();
       stats_.network_delay_ms += channel->total_delay_ms();
-      ExecutionStats::SourceBreakdown& breakdown = stats_.per_source[source];
-      breakdown.messages += channel->messages_transferred();
-      breakdown.rows += channel->messages_transferred();
-      breakdown.delay_ms += channel->total_delay_ms();
+      obs::SourceTraffic& traffic = stats_.per_source[source];
+      traffic.messages += channel->messages_transferred();
+      traffic.rows += channel->messages_transferred();
+      traffic.delay_ms += channel->total_delay_ms();
     }
     stats_.source_rows = stats_.messages_transferred;
     for (const auto& [source, injector] : injectors_) {
@@ -781,27 +778,10 @@ class PlanExecution::Impl {
       stats_.sub_answer_hits = answer_hits_counter_->Value();
       stats_.sub_answer_misses = answer_misses_counter_->Value();
     }
-    constexpr const char* kRetriesSuffix = ".retries";
-    for (const auto& [suffix, value] :
-         local_metrics_.CountersWithPrefix("source.")) {
-      if (suffix.size() > strlen(kRetriesSuffix) &&
-          suffix.compare(suffix.size() - strlen(kRetriesSuffix),
-                         strlen(kRetriesSuffix), kRetriesSuffix) == 0) {
-        stats_.per_source[suffix.substr(
-                              0, suffix.size() - strlen(kRetriesSuffix))]
-            .retries += value;
-      }
-    }
-    for (const auto& entry : operator_counters_) {
-      operator_rows_.emplace_back(entry.label, entry.counter->load());
-      operator_estimates_.push_back(entry.estimate);
-      if (entry.runtime != nullptr) {
-        operator_runtime_.push_back(entry.runtime->Snapshot(entry.source_id));
-      } else {
-        obs::OperatorRuntime rt;
-        rt.source_id = entry.source_id;
-        operator_runtime_.push_back(std::move(rt));
-      }
+    for (OperatorCounter& entry : operator_counters_) {
+      obs::OperatorRuntime& op = entry.record;
+      op.rows = entry.counter->load();
+      if (entry.runtime != nullptr) entry.runtime->Fill(&op);
       // Runtime cardinality feedback: fold the observed row count back into
       // the stats catalog, but only for clean completions — partial counts
       // of cancelled/expired runs would poison the estimates. Best-effort
@@ -810,9 +790,9 @@ class PlanExecution::Impl {
       // for the same reason.
       if (options_.stats_catalog != nullptr && !entry.stats_key.empty() &&
           final_status_.ok() && !stats_.partial) {
-        options_.stats_catalog->RecordActual(entry.stats_key,
-                                             entry.counter->load());
+        options_.stats_catalog->RecordActual(entry.stats_key, op.rows);
       }
+      operator_runtime_.push_back(std::move(op));
     }
     if (options_.collect_metrics) {
       sink_->GetCounter("exec.messages")
@@ -826,15 +806,14 @@ class PlanExecution::Impl {
         sink_->GetCounter("exec.latency_spikes")
             ->Increment(stats_.latency_spikes_injected);
       }
-      for (const auto& [source, breakdown] : stats_.per_source) {
+      for (const auto& [source, traffic] : stats_.per_source) {
         sink_->GetCounter("source." + source + ".messages")
-            ->Increment(breakdown.messages);
+            ->Increment(traffic.messages);
         sink_->GetCounter("source." + source + ".rows")
-            ->Increment(breakdown.rows);
+            ->Increment(traffic.rows);
       }
-      for (const auto& entry : operator_counters_) {
-        sink_->GetCounter("op.rows." + entry.label)
-            ->Increment(entry.counter->load());
+      for (const obs::OperatorRuntime& op : operator_runtime_) {
+        sink_->GetCounter("op.rows." + op.label)->Increment(op.rows);
       }
       if (sink_ != &local_metrics_) {
         // Hand the per-execution recovery counters over to the session's
@@ -852,12 +831,6 @@ class PlanExecution::Impl {
   }
 
   const ExecutionStats& stats() const { return stats_; }
-  const std::vector<std::pair<std::string, uint64_t>>& operator_rows() const {
-    return operator_rows_;
-  }
-  const std::vector<double>& operator_estimates() const {
-    return operator_estimates_;
-  }
   const std::vector<obs::OperatorRuntime>& operator_runtime() const {
     return operator_runtime_;
   }
@@ -1231,19 +1204,26 @@ class PlanExecution::Impl {
                                    parent_span);
   }
 
+  // Accounts `retries` re-attempts against `source`: the execution-wide and
+  // per-source counters, the source's traffic record and a recovery event.
+  void RecordRetries(const std::string& source, int retries) {
+    const uint64_t n = static_cast<uint64_t>(retries);
+    retries_counter_->Increment(n);
+    local_metrics_.GetCounter("source." + source + ".retries")->Increment(n);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stats_.per_source[source].retries += n;
+    }
+    AddRecoveryEvent("retried " + source + " x" + std::to_string(retries));
+  }
+
   // Reports one finished racer: retry accounting, then the breaker verdict.
   // A racer cancelled as the race loser, or cut short by the session's
   // cancellation or deadline (`aborted`), neither closes nor trips the
   // breaker — it only releases the probe slot it may hold.
   void ResolveRacer(const std::string& source, const RacerResult& r,
                     bool aborted) {
-    if (r.retries > 0) {
-      retries_counter_->Increment(static_cast<uint64_t>(r.retries));
-      local_metrics_.GetCounter("source." + source + ".retries")
-          ->Increment(static_cast<uint64_t>(r.retries));
-      AddRecoveryEvent("retried " + source + " x" +
-                       std::to_string(r.retries));
-    }
+    if (r.retries > 0) RecordRetries(source, r.retries);
     BreakerRegistry* breakers = options_.breakers;
     if (!r.admitted || breakers == nullptr) return;
     if (r.status.ok()) {
@@ -1495,13 +1475,7 @@ class PlanExecution::Impl {
           primary_watch.ElapsedMillis() >= hedge_delay_ms) {
         hedges_suppressed_counter_->Increment();
       }
-      if (retries > 0) {
-        retries_counter_->Increment(static_cast<uint64_t>(retries));
-        local_metrics_.GetCounter("source." + source + ".retries")
-            ->Increment(static_cast<uint64_t>(retries));
-        AddRecoveryEvent("retried " + source + " x" +
-                         std::to_string(retries));
-      }
+      if (retries > 0) RecordRetries(source, retries);
       if (st.ok()) {
         if (breakers != nullptr) breakers->OnSuccess(source);
         return st;
@@ -1574,9 +1548,11 @@ class PlanExecution::Impl {
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
-      operator_counters_.push_back({std::move(label), node.stats_key,
-                                    node.estimated_rows, std::move(counter),
-                                    std::move(source_id), runtime});
+      OperatorCounter entry{{}, node.stats_key, std::move(counter), runtime};
+      entry.record.label = std::move(label);
+      entry.record.source_id = std::move(source_id);
+      entry.record.estimated_rows = node.estimated_rows;
+      operator_counters_.push_back(std::move(entry));
     }
     RegisterQueue(queue);
     return {std::move(queue), std::move(runtime)};
@@ -2059,11 +2035,11 @@ class PlanExecution::Impl {
   Stopwatch clock_;  // event timestamps, seconds since execution creation
   bool degraded_ = false;
   struct OperatorCounter {
-    std::string label;
+    // Label, source and estimate from the plan; rows and runtime fields are
+    // filled by Finish().
+    obs::OperatorRuntime record;
     std::string stats_key;  // feedback key; empty = no feedback
-    double estimate;        // planner's estimate; -1 = none
     std::shared_ptr<std::atomic<uint64_t>> counter;
-    std::string source_id;  // leaf operators: the source they scan
     std::shared_ptr<OpRuntimeRec> runtime;  // null when metrics are off
   };
   std::vector<OperatorCounter> operator_counters_;
@@ -2071,8 +2047,6 @@ class PlanExecution::Impl {
   bool finished_ = false;
   Status final_status_;
   ExecutionStats stats_;
-  std::vector<std::pair<std::string, uint64_t>> operator_rows_;
-  std::vector<double> operator_estimates_;
   std::vector<obs::OperatorRuntime> operator_runtime_;
 };
 
@@ -2093,15 +2067,6 @@ Status PlanExecution::Finish() { return impl_->Finish(); }
 
 const ExecutionStats& PlanExecution::stats() const { return impl_->stats(); }
 
-const std::vector<std::pair<std::string, uint64_t>>&
-PlanExecution::operator_rows() const {
-  return impl_->operator_rows();
-}
-
-const std::vector<double>& PlanExecution::operator_estimates() const {
-  return impl_->operator_estimates();
-}
-
 const std::vector<obs::OperatorRuntime>& PlanExecution::operator_runtime()
     const {
   return impl_->operator_runtime();
@@ -2114,29 +2079,29 @@ const std::vector<AnswerTrace::Event>& PlanExecution::trace_events() const {
 std::string QueryAnswer::OperatorStatsText() const {
   std::string out;
   char buf[64];
-  for (size_t i = 0; i < operator_rows.size(); ++i) {
-    const auto& [label, rows] = operator_rows[i];
+  for (const obs::OperatorRuntime& op : operator_runtime) {
     std::snprintf(buf, sizeof(buf), "%10llu  ",
-                  static_cast<unsigned long long>(rows));
+                  static_cast<unsigned long long>(op.rows));
     out += buf;
-    out += label;
-    if (i < operator_estimates.size() && operator_estimates[i] >= 0.0) {
+    out += op.label;
+    if (op.estimated_rows >= 0.0) {
       std::snprintf(buf, sizeof(buf), "  [est≈%lld]",
-                    static_cast<long long>(operator_estimates[i]));
+                    static_cast<long long>(op.estimated_rows));
       out += buf;
     }
     out.push_back('\n');
   }
   if (!stats.per_source.empty()) {
     out += "per-source traffic:\n";
-    for (const auto& [source, b] : stats.per_source) {
+    for (const auto& [source, traffic] : stats.per_source) {
       std::snprintf(buf, sizeof(buf), "%10llu rows  %10llu msgs  %10.2f ms  ",
-                    static_cast<unsigned long long>(b.rows),
-                    static_cast<unsigned long long>(b.messages), b.delay_ms);
+                    static_cast<unsigned long long>(traffic.rows),
+                    static_cast<unsigned long long>(traffic.messages),
+                    traffic.delay_ms);
       out += buf;
       out += source;
-      if (b.retries > 0) {
-        out += "  (" + std::to_string(b.retries) + " retries)";
+      if (traffic.retries > 0) {
+        out += "  (" + std::to_string(traffic.retries) + " retries)";
       }
       out.push_back('\n');
     }

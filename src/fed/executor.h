@@ -44,13 +44,7 @@ struct ExecutionStats {
   uint64_t source_rows = 0;
 
   // Per-source share of the traffic above (keyed by source id).
-  struct SourceBreakdown {
-    uint64_t rows = 0;      // result rows shipped by this source
-    uint64_t messages = 0;  // delay-channel transfers
-    double delay_ms = 0;    // simulated delay injected on this channel
-    uint64_t retries = 0;   // sub-query re-attempts against this source
-  };
-  std::map<std::string, SourceBreakdown> per_source;
+  std::map<std::string, obs::SourceTraffic> per_source;
 
   // ---- Fault-tolerance accounting (all zero on fault-free runs) --------
   // Leaf sub-query re-attempts after transient failures (retry policy).
@@ -104,23 +98,18 @@ struct QueryAnswer {
   AnswerTrace trace;
   ExecutionStats stats;
   std::string plan_text;
-  // Rows emitted by each operator of the plan, in spawn order
-  // (EXPLAIN-ANALYZE-style observability).
-  std::vector<std::pair<std::string, uint64_t>> operator_rows;
-  // Parallel to operator_rows: the planner's estimated cardinality of each
-  // operator, or -1 when no estimate was made (cost model off).
-  std::vector<double> operator_estimates;
-  // Parallel to operator_rows: per-operator runtime accounting (wall
-  // time, output-queue waits and occupancy) captured when
-  // PlanOptions::collect_metrics is on; default-valued entries otherwise.
+  // One record per plan operator, in spawn order: label, source, rows
+  // emitted and the planner's estimate (-1 = none) always; wall time,
+  // output-queue waits and occupancy when PlanOptions::collect_metrics is
+  // on (wall_ms = -1 otherwise).
   std::vector<obs::OperatorRuntime> operator_runtime;
   // Stable-JSON rendering of the query's metrics registry (src/obs):
   // counters, gauges and latency histograms with p50/p95/p99. Empty when
   // PlanOptions::collect_metrics is off.
   std::string metrics_json;
 
-  // Multi-line "rows  operator" rendering of operator_rows (with estimates
-  // when present) followed by the per-source traffic breakdown.
+  // Multi-line "rows  operator" rendering of operator_runtime (with
+  // estimates when present) followed by the per-source traffic breakdown.
   std::string OperatorStatsText() const;
 };
 
@@ -158,11 +147,8 @@ class PlanExecution {
   // Valid after Finish(). Partial results of a cancelled or expired run are
   // reported faithfully (stats cover the work actually performed).
   const ExecutionStats& stats() const;
-  const std::vector<std::pair<std::string, uint64_t>>& operator_rows() const;
-  const std::vector<double>& operator_estimates() const;
-  // Parallel to operator_rows(): runtime accounting per operator (wall
-  // time, queue waits, occupancy). Meaningful when collect_metrics was on;
-  // default-valued entries of the same length otherwise.
+  // One record per operator, in spawn order (see
+  // QueryAnswer::operator_runtime).
   const std::vector<obs::OperatorRuntime>& operator_runtime() const;
   // Timestamped recovery events (retries, failovers, breaker trips),
   // seconds since the execution was created. Empty on fault-free runs.

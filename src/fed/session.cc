@@ -118,8 +118,6 @@ Status ResultStream::FinishExecution() {
   Status terminal = execution_->Finish();
   stats_ = execution_->stats();
   trace_.events = execution_->trace_events();
-  operator_rows_ = execution_->operator_rows();
-  operator_estimates_ = execution_->operator_estimates();
   operator_runtime_ = execution_->operator_runtime();
   execution_.reset();
   return terminal;
@@ -245,7 +243,6 @@ Status ResultStream::Finish() {
     record.sub_answer_hits = stats_.sub_answer_hits;
     record.sub_answer_misses = stats_.sub_answer_misses;
     record.plan_cache_hit = plan_cache_hit;
-    record.slow = total_ms >= log->config().slow_ms;
     if (log->ShouldCapture(total_ms, record.ok, record.partial)) {
       record.profile_json = profile().ToJson();
       if (spans_ != nullptr) record.spans_json = spans_->ToJson();
@@ -256,29 +253,18 @@ Status ResultStream::Finish() {
 }
 
 obs::QueryProfile ResultStream::profile() const {
-  obs::QueryProfileInputs in;
-  in.labels.reserve(operator_rows_.size());
-  in.rows.reserve(operator_rows_.size());
-  for (const auto& [label, rows] : operator_rows_) {
-    in.labels.push_back(label);
-    in.rows.push_back(rows);
+  obs::QueryProfile profile;
+  profile.operators = operator_runtime_;
+  profile.sources = stats_.per_source;
+  if (spans_ != nullptr) {
+    profile.phases = obs::SessionPhases(spans_->Snapshot());
   }
-  in.estimates = operator_estimates_;
-  in.runtime = operator_runtime_;
-  for (const auto& [source, b] : stats_.per_source) {
-    obs::QueryProfileInputs::SourceTraffic traffic;
-    traffic.rows = b.rows;
-    traffic.messages = b.messages;
-    traffic.retries = b.retries;
-    traffic.delay_ms = b.delay_ms;
-    in.per_source.emplace(source, traffic);
-  }
-  if (spans_ != nullptr) in.spans = spans_->Snapshot();
-  in.total_s = trace_.completion_seconds;
-  in.first_s = trace_.timestamps.empty() ? -1 : trace_.timestamps.front();
-  in.answer_rows = trace_.timestamps.size();
-  in.status = status_.ok() ? "ok" : status_.ToString();
-  return obs::BuildQueryProfile(in);
+  profile.total_ms = trace_.completion_seconds * 1e3;
+  profile.first_answer_ms =
+      trace_.timestamps.empty() ? -1 : trace_.timestamps.front() * 1e3;
+  profile.answer_rows = trace_.timestamps.size();
+  profile.status = status_.ok() ? "ok" : status_.ToString();
+  return profile;
 }
 
 Result<QueryAnswer> ResultStream::Drain() {
@@ -294,8 +280,7 @@ Result<QueryAnswer> ResultStream::Drain() {
   answer.trace = trace_;
   answer.stats = stats_;
   answer.plan_text = plan_text_;
-  answer.operator_rows = operator_rows_;
-  answer.operator_estimates = operator_estimates_;
+  // Copied, not moved: profile() stays valid after Drain().
   answer.operator_runtime = operator_runtime_;
   answer.metrics_json = metrics_json_;
   return answer;

@@ -3,8 +3,8 @@
 // optional deadline) becomes a ResultStream via
 // FederatedEngine::CreateSession; the stream yields solution mappings as
 // the sources deliver them, can be cancelled at any time from any thread,
-// and reports the terminal Status plus the execution's AnswerTrace and
-// ExecutionStats once finished.
+// and reports the terminal Status plus the execution's AnswerTrace,
+// ExecutionStats and per-operator records once finished.
 //
 // Relationship to the blocking API: FederatedEngine::Execute and
 // ExecuteParsed are thin shims that create a session and Drain() it, so a
@@ -73,7 +73,7 @@ struct QueryRequest {
 //
 // Threading: Next(), Finish() and Drain() belong to one consumer thread;
 // Cancel() may be called concurrently from any thread. trace()/stats()/
-// operator_rows() are stable once Finish() returned.
+// operator_runtime() are stable once Finish() returned.
 class ResultStream {
  public:
   ~ResultStream();  // cancels if not fully consumed, waits for the dataflow
@@ -125,28 +125,17 @@ class ResultStream {
   // EXPLAIN text of the executed plan. Valid from creation.
   const std::string& plan_text() const { return plan_text_; }
 
-  // Rows emitted per operator, in spawn order. Complete after Finish().
-  const std::vector<std::pair<std::string, uint64_t>>& operator_rows() const {
-    return operator_rows_;
-  }
-
-  // Planner cardinality estimates parallel to operator_rows() (-1 where no
-  // estimate exists, e.g. cost model off). Complete after Finish().
-  const std::vector<double>& operator_estimates() const {
-    return operator_estimates_;
-  }
-
-  // Per-operator runtime accounting (wall time, output-queue waits,
-  // occupancy) parallel to operator_rows(). Default-valued entries when
-  // collect_metrics is off. Complete after Finish().
+  // One record per operator, in spawn order: label, source, rows and the
+  // planner's estimate always; wall time and queue waits when
+  // collect_metrics is on (wall_ms = -1 otherwise). Complete after Finish().
   const std::vector<obs::OperatorRuntime>& operator_runtime() const {
     return operator_runtime_;
   }
 
-  // EXPLAIN ANALYZE of the finished session: joins operator_rows(),
-  // operator_estimates() (as q-errors), operator_runtime(), the per-source
-  // traffic and the span tree into one QueryProfile. Call after Finish()
-  // (or Drain()); render with ToText() / ToJson().
+  // EXPLAIN ANALYZE of the finished session: operator_runtime(), the
+  // per-source traffic of stats() and the session phases of the span tree
+  // in one QueryProfile. Call after Finish() (or Drain()); render with
+  // ToText() / ToJson().
   obs::QueryProfile profile() const;
 
   // The session's cancellation token (shared with every operator task).
@@ -216,8 +205,6 @@ class ResultStream {
   AnswerTrace trace_;
   ExecutionStats stats_;
   std::string plan_text_;
-  std::vector<std::pair<std::string, uint64_t>> operator_rows_;
-  std::vector<double> operator_estimates_;
   std::vector<obs::OperatorRuntime> operator_runtime_;
 
   // Observability: the session owns its metrics registry and span recorder;

@@ -43,11 +43,6 @@ double DelayChannel::SampleDelayMs() {
   return rng_.Gamma(profile_.alpha, profile_.beta) * profile_.time_scale;
 }
 
-void DelayChannel::Transfer() {
-  messages_.fetch_add(1, std::memory_order_relaxed);
-  Delay(CancellationToken());
-}
-
 Status DelayChannel::Transfer(const CancellationToken& token) {
   messages_.fetch_add(1, std::memory_order_relaxed);
   Delay(token);

@@ -70,7 +70,7 @@ inline constexpr double kSlowNetworkThresholdMs = 1.0;
 // Ontario's injection point). Thread-safe.
 //
 // A FaultInjector may be attached alongside the delay sampling: each
-// token-aware Transfer then also consults the injector, and returns
+// Transfer then also consults the injector, and returns
 // kUnavailable when the injector fires a fault for this message. Wrappers
 // propagate that status out of Execute so the executor's retry/failover
 // layer can recover; legacy wrappers that ignore it simply see no faults.
@@ -78,28 +78,24 @@ class DelayChannel {
  public:
   DelayChannel(NetworkProfile profile, uint64_t seed);
 
-  // Sleeps for one sampled message latency and accounts for it. No fault
-  // injection (legacy entry point).
-  void Transfer();
-
-  // As Transfer(), but the sleep observes `token`: an explicit cancel wakes
-  // it immediately and the token's deadline caps it, so a source stuck in a
-  // simulated slow network tears down mid-delay instead of finishing the
-  // sleep. The full sampled delay is still accounted (the simulation's
-  // network cost does not depend on who aborted the wait). Returns the
-  // attached fault injector's verdict for this message (OK when no
-  // injector is attached).
+  // Sleeps for one sampled message latency and accounts for it. The sleep
+  // observes `token`: an explicit cancel wakes it immediately and the
+  // token's deadline caps it, so a source stuck in a simulated slow network
+  // tears down mid-delay instead of finishing the sleep. The full sampled
+  // delay is still accounted (the simulation's network cost does not
+  // depend on who aborted the wait). Returns the attached fault injector's
+  // verdict for this message (OK when no injector is attached).
   Status Transfer(const CancellationToken& token);
 
-  // Batched form of the token-aware Transfer: accounts `n` messages and
-  // sleeps the sum of `n` sampled per-message latencies — the same total
-  // network cost as `n` sequential Transfer calls, paid with one wake-up.
-  // With a fault injector attached the faithful per-message sequence runs
-  // instead (count, delay, verdict), so a mid-batch fault leaves exactly
-  // the row-at-a-time accounting: the faulted message's delay is paid,
-  // `*delivered_out` (when non-null) reports how many messages completed
-  // before the fault, and trailing messages are never sent. Returns the
-  // first fault verdict, or OK.
+  // Batched form of Transfer: accounts `n` messages and sleeps the sum of
+  // `n` sampled per-message latencies — the same total network cost as `n`
+  // sequential Transfer calls, paid with one wake-up. With a fault injector
+  // attached the faithful per-message sequence runs instead (count, delay,
+  // verdict), so a mid-batch fault leaves exactly the row-at-a-time
+  // accounting: the faulted message's delay is paid, `*delivered_out`
+  // (when non-null) reports how many messages completed before the fault,
+  // and trailing messages are never sent. Returns the first fault verdict,
+  // or OK.
   Status TransferBatch(size_t n, const CancellationToken& token,
                        size_t* delivered_out = nullptr);
 
@@ -130,7 +126,8 @@ class DelayChannel {
   double total_delay_ms() const;
 
  private:
-  // Samples and sleeps one message delay (shared by both Transfer forms).
+  // Samples and sleeps one message delay (shared by Transfer and the
+  // per-message path of TransferBatch).
   void Delay(const CancellationToken& token);
 
   // Samples `n` message delays and sleeps their sum in one go.

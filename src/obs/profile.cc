@@ -21,6 +21,32 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
+// The figures both renderings derive from one operator record.
+struct Derived {
+  double q_error = -1;         // -1 = no estimate; 1.0 = exact
+  bool underestimate = false;  // estimate < actual (when q_error >= 0)
+  double network_ms = 0;       // leaves: their source's simulated delay
+  double compute_ms = -1;      // wall - push-wait - network, clamped >= 0
+  double rows_per_sec = 0;     // rows / wall time
+};
+
+Derived Derive(const OperatorRuntime& op,
+               const std::map<std::string, SourceTraffic>& sources) {
+  Derived d;
+  const double rows = static_cast<double>(op.rows);
+  d.q_error = QError(op.estimated_rows, rows);
+  d.underestimate = d.q_error >= 0 && op.estimated_rows < rows;
+  if (!op.source_id.empty()) {
+    auto it = sources.find(op.source_id);
+    if (it != sources.end()) d.network_ms = it->second.delay_ms;
+  }
+  if (op.wall_ms >= 0) {
+    d.compute_ms = std::max(0.0, op.wall_ms - op.push_wait_ms - d.network_ms);
+    if (op.wall_ms > 0) d.rows_per_sec = rows / (op.wall_ms / 1e3);
+  }
+  return d;
+}
+
 }  // namespace
 
 double QError(double estimated, double actual) {
@@ -30,74 +56,31 @@ double QError(double estimated, double actual) {
   return std::max(e / a, a / e);
 }
 
-QueryProfile BuildQueryProfile(const QueryProfileInputs& in) {
-  QueryProfile profile;
-  profile.total_ms = in.total_s * 1e3;
-  profile.first_answer_ms = in.first_s < 0 ? -1 : in.first_s * 1e3;
-  profile.answer_rows = in.answer_rows;
-  profile.status = in.status;
-
-  double max_push_wait = 0;
-  for (size_t i = 0; i < in.labels.size(); ++i) {
-    QueryProfile::Operator op;
-    op.label = in.labels[i];
-    op.actual_rows = i < in.rows.size() ? in.rows[i] : 0;
-    op.estimated_rows = i < in.estimates.size() ? in.estimates[i] : -1;
-    op.q_error = QError(op.estimated_rows, static_cast<double>(op.actual_rows));
-    op.underestimate =
-        op.q_error >= 0 &&
-        op.estimated_rows < static_cast<double>(op.actual_rows);
-    if (op.q_error > profile.max_q_error) profile.max_q_error = op.q_error;
-    if (i < in.runtime.size()) {
-      const OperatorRuntime& rt = in.runtime[i];
-      op.source_id = rt.source_id;
-      op.wall_ms = rt.wall_ms;
-      op.push_wait_ms = rt.push_wait_ms;
-      op.pop_wait_ms = rt.pop_wait_ms;
-      op.push_waits = rt.push_waits;
-      op.pop_waits = rt.pop_waits;
-      op.peak_queue_depth = rt.peak_depth;
-      op.avg_queue_depth = rt.avg_depth();
-    }
-    if (!op.source_id.empty()) {
-      auto it = in.per_source.find(op.source_id);
-      if (it != in.per_source.end()) op.network_ms = it->second.delay_ms;
-    }
-    if (op.wall_ms >= 0) {
-      op.compute_ms =
-          std::max(0.0, op.wall_ms - op.push_wait_ms - op.network_ms);
-      if (op.wall_ms > 0) {
-        op.rows_per_sec =
-            static_cast<double>(op.actual_rows) / (op.wall_ms / 1e3);
-      }
-    }
-    if (op.push_wait_ms > max_push_wait) {
-      max_push_wait = op.push_wait_ms;
-      profile.backpressure_dominant = op.label;
-    }
-    profile.operators.push_back(std::move(op));
+double QueryProfile::MaxQError() const {
+  double max_q_error = -1;
+  for (const OperatorRuntime& op : operators) {
+    max_q_error = std::max(
+        max_q_error, QError(op.estimated_rows, static_cast<double>(op.rows)));
   }
+  return max_q_error;
+}
 
-  for (const auto& [id, traffic] : in.per_source) {
-    profile.sources.push_back(
-        {id, traffic.rows, traffic.messages, traffic.retries,
-         traffic.delay_ms});
-  }
-
-  // Session phases: the direct children of the root span(s), in start
-  // order. The recorder snapshot is already in creation order, which is
-  // also start order for siblings.
+std::vector<QueryProfile::Phase> SessionPhases(
+    const std::vector<SpanRecord>& spans) {
+  // The recorder snapshot is in creation order, which is also start order
+  // for siblings.
   std::vector<uint64_t> roots;
-  for (const SpanRecord& s : in.spans) {
+  for (const SpanRecord& s : spans) {
     if (s.parent_id == 0) roots.push_back(s.id);
   }
-  for (const SpanRecord& s : in.spans) {
+  std::vector<QueryProfile::Phase> phases;
+  for (const SpanRecord& s : spans) {
     if (s.parent_id != 0 &&
         std::find(roots.begin(), roots.end(), s.parent_id) != roots.end()) {
-      profile.phases.push_back({s.name, s.duration_ms()});
+      phases.push_back({s.name, s.duration_ms()});
     }
   }
-  return profile;
+  return phases;
 }
 
 std::string QueryProfile::ToText() const {
@@ -125,70 +108,50 @@ std::string QueryProfile::ToText() const {
                 "est", "actual", "q-err", "wall_ms", "compute", "queue_wait",
                 "net_ms", "rows/s", "operator");
   out += buf;
-  for (const Operator& op : operators) {
+  for (const OperatorRuntime& op : operators) {
+    const Derived d = Derive(op, sources);
     std::string est = op.estimated_rows < 0
                           ? "-"
                           : std::to_string(static_cast<long long>(
                                 op.estimated_rows));
     std::string qerr = "-";
-    if (op.q_error >= 0) {
+    if (d.q_error >= 0) {
       char qbuf[32];
-      std::snprintf(qbuf, sizeof(qbuf), "%.2f%s", op.q_error,
-                    op.q_error > 1.0 ? (op.underestimate ? "v" : "^") : "");
+      std::snprintf(qbuf, sizeof(qbuf), "%.2f%s", d.q_error,
+                    d.q_error > 1.0 ? (d.underestimate ? "v" : "^") : "");
       qerr = qbuf;
     }
     std::string rps = "-";
     if (op.wall_ms > 0) {
       char rbuf[32];
-      std::snprintf(rbuf, sizeof(rbuf), "%.0f", op.rows_per_sec);
+      std::snprintf(rbuf, sizeof(rbuf), "%.0f", d.rows_per_sec);
       rps = rbuf;
     }
     std::snprintf(buf, sizeof(buf),
                   "%10s %10llu %8s %10s %10s %10s %10s %11s  %s\n",
-                  est.c_str(), static_cast<unsigned long long>(op.actual_rows),
+                  est.c_str(), static_cast<unsigned long long>(op.rows),
                   qerr.c_str(), FormatMs(op.wall_ms).c_str(),
-                  FormatMs(op.compute_ms).c_str(),
+                  FormatMs(d.compute_ms).c_str(),
                   FormatMs(op.push_wait_ms + op.pop_wait_ms).c_str(),
-                  FormatMs(op.network_ms).c_str(), rps.c_str(),
+                  FormatMs(d.network_ms).c_str(), rps.c_str(),
                   op.label.c_str());
     out += buf;
   }
+  const double max_q_error = MaxQError();
   if (max_q_error >= 0) {
     std::snprintf(buf, sizeof(buf),
                   "max q-error: %.2f  (v = underestimate, ^ = overestimate)\n",
                   max_q_error);
     out += buf;
   }
-  if (!backpressure_dominant.empty()) {
-    const Operator* dom = nullptr;
-    for (const Operator& op : operators) {
-      if (op.label == backpressure_dominant) {
-        dom = &op;
-        break;
-      }
-    }
-    std::snprintf(buf, sizeof(buf),
-                  "backpressure-dominant: %s  (push-wait %.2f ms across %llu "
-                  "waits, peak depth %llu)\n",
-                  backpressure_dominant.c_str(),
-                  dom != nullptr ? dom->push_wait_ms : 0.0,
-                  static_cast<unsigned long long>(
-                      dom != nullptr ? dom->push_waits : 0),
-                  static_cast<unsigned long long>(
-                      dom != nullptr ? dom->peak_queue_depth : 0));
-    out += buf;
-  } else {
-    out +=
-        "backpressure-dominant: none (no producer blocked on a full queue)\n";
-  }
   if (!sources.empty()) {
     out += "per-source traffic:\n";
-    for (const Source& s : sources) {
+    for (const auto& [id, s] : sources) {
       std::snprintf(buf, sizeof(buf),
                     "%10llu rows  %10llu msgs  %10.2f ms  %s",
                     static_cast<unsigned long long>(s.rows),
                     static_cast<unsigned long long>(s.messages), s.delay_ms,
-                    s.id.c_str());
+                    id.c_str());
       out += buf;
       if (s.retries > 0) {
         out += "  (" + std::to_string(s.retries) + " retries)";
@@ -204,9 +167,8 @@ std::string QueryProfile::ToJson() const {
                     ",\"total_ms\":" + FormatDouble(total_ms) +
                     ",\"first_answer_ms\":" + FormatDouble(first_answer_ms) +
                     ",\"rows\":" + std::to_string(answer_rows) +
-                    ",\"max_q_error\":" + FormatDouble(max_q_error) +
-                    ",\"backpressure_dominant\":" +
-                    JsonString(backpressure_dominant) + ",\"phases\":[";
+                    ",\"max_q_error\":" + FormatDouble(MaxQError()) +
+                    ",\"phases\":[";
   for (size_t i = 0; i < phases.size(); ++i) {
     if (i > 0) out.push_back(',');
     out += "{\"name\":" + JsonString(phases[i].name) +
@@ -214,30 +176,32 @@ std::string QueryProfile::ToJson() const {
   }
   out += "],\"operators\":[";
   for (size_t i = 0; i < operators.size(); ++i) {
-    const Operator& op = operators[i];
+    const OperatorRuntime& op = operators[i];
+    const Derived d = Derive(op, sources);
     if (i > 0) out.push_back(',');
     out += "{\"label\":" + JsonString(op.label) +
            ",\"source\":" + JsonString(op.source_id) +
            ",\"estimated_rows\":" + FormatDouble(op.estimated_rows) +
-           ",\"actual_rows\":" + std::to_string(op.actual_rows) +
-           ",\"q_error\":" + FormatDouble(op.q_error) +
-           ",\"underestimate\":" + (op.underestimate ? "true" : "false") +
+           ",\"actual_rows\":" + std::to_string(op.rows) +
+           ",\"q_error\":" + FormatDouble(d.q_error) +
+           ",\"underestimate\":" + (d.underestimate ? "true" : "false") +
            ",\"wall_ms\":" + FormatDouble(op.wall_ms) +
-           ",\"compute_ms\":" + FormatDouble(op.compute_ms) +
+           ",\"compute_ms\":" + FormatDouble(d.compute_ms) +
            ",\"push_wait_ms\":" + FormatDouble(op.push_wait_ms) +
            ",\"pop_wait_ms\":" + FormatDouble(op.pop_wait_ms) +
            ",\"push_waits\":" + std::to_string(op.push_waits) +
            ",\"pop_waits\":" + std::to_string(op.pop_waits) +
-           ",\"network_ms\":" + FormatDouble(op.network_ms) +
-           ",\"rows_per_sec\":" + FormatDouble(op.rows_per_sec) +
-           ",\"peak_queue_depth\":" + std::to_string(op.peak_queue_depth) +
-           ",\"avg_queue_depth\":" + FormatDouble(op.avg_queue_depth) + "}";
+           ",\"network_ms\":" + FormatDouble(d.network_ms) +
+           ",\"rows_per_sec\":" + FormatDouble(d.rows_per_sec) +
+           ",\"peak_queue_depth\":" + std::to_string(op.peak_depth) +
+           ",\"avg_queue_depth\":" + FormatDouble(op.avg_depth()) + "}";
   }
   out += "],\"sources\":[";
-  for (size_t i = 0; i < sources.size(); ++i) {
-    const Source& s = sources[i];
-    if (i > 0) out.push_back(',');
-    out += "{\"id\":" + JsonString(s.id) + ",\"rows\":" +
+  bool first = true;
+  for (const auto& [id, s] : sources) {
+    if (!first) out.push_back(',');
+    first = false;
+    out += "{\"id\":" + JsonString(id) + ",\"rows\":" +
            std::to_string(s.rows) + ",\"messages\":" +
            std::to_string(s.messages) + ",\"delay_ms\":" +
            FormatDouble(s.delay_ms) + ",\"retries\":" +

@@ -1,16 +1,17 @@
-// Query profiling: EXPLAIN ANALYZE for the federated engine. A QueryProfile
-// joins four observability channels of one finished query into a
-// per-operator record:
+// Query profiling: EXPLAIN ANALYZE for the federated engine. The executor
+// fills one OperatorRuntime per plan operator and one SourceTraffic per
+// source; a QueryProfile holds those records as they are, plus the session
+// phases and totals, and every view renders that one object:
 //
-//   * per-operator actual row counts (the op.rows.* channel),
-//   * the planner's cardinality estimates, turned into q-errors,
-//   * per-operator runtime accounting (operator-thread wall time, blocking
-//     queue waits and occupancy samples, captured by the executor), and
-//   * the span tree (session phases) plus the per-source traffic breakdown.
+//   * per operator: label, actual rows, the planner's estimate (rendered as
+//     a q-error) and runtime accounting (wall time of the operator's tasks
+//     or leaf jobs, output-queue waits and occupancy samples),
+//   * per source: shipped rows, messages, retries and simulated delay,
+//   * the session phases taken from the span tree.
 //
-// The result renders as EXPLAIN ANALYZE text for the shell and as stable
-// JSON for tooling. This layer is fed-agnostic: the executor fills a
-// QueryProfileInputs from its own structures and calls BuildQueryProfile.
+// ToText() is the EXPLAIN ANALYZE table for the shell; ToJson() is stable
+// JSON for tooling. Derived figures (q-error, compute and network share,
+// rows/s) are computed when rendered. This layer is fed-agnostic.
 
 #ifndef LAKEFED_OBS_PROFILE_H_
 #define LAKEFED_OBS_PROFILE_H_
@@ -24,19 +25,23 @@
 
 namespace lakefed::obs {
 
-// Per-operator runtime accounting captured while a plan runs. Each operator
-// owns one output queue; the queue-wait fields describe blocking on *that*
-// queue: push waits are time the operator spent blocked because its
-// consumer fell behind (backpressure on this operator), pop waits are time
-// the consumer spent starved for this operator's output. Defined here (not
-// in fed/) so the profiler can consume it without a dependency cycle.
+// One operator of an executed plan: what the planner expected, what it
+// produced and, when metrics were collected, where its time went. The
+// queue-wait fields describe the operator's own output queue: push waits
+// are time a producer spent blocked on a full queue (none of the task
+// executor's producers block — leaf queues are unbounded and operator tasks
+// park instead — so these read 0 there), pop waits are time the consumer
+// spent starved for this operator's output.
 struct OperatorRuntime {
-  std::string source_id;     // leaf operators: the source they scan
-  double wall_ms = -1;       // operator-thread wall time; -1 = not measured
-  uint64_t push_waits = 0;   // pushes into the out queue that blocked
-  double push_wait_ms = 0;   // total producer blocking (backpressure signal)
-  uint64_t pop_waits = 0;    // pops of the out queue that blocked
-  double pop_wait_ms = 0;    // total consumer starvation on this queue
+  std::string label;           // plan-node description (first line)
+  std::string source_id;       // leaf operators: the source they scan
+  uint64_t rows = 0;           // rows the operator emitted
+  double estimated_rows = -1;  // planner's estimate; -1 = none
+  double wall_ms = -1;         // task / leaf-job wall time; -1 = not measured
+  uint64_t push_waits = 0;     // pushes into the out queue that blocked
+  double push_wait_ms = 0;     // total producer blocking
+  uint64_t pop_waits = 0;      // pops of the out queue that blocked
+  double pop_wait_ms = 0;      // total consumer starvation on this queue
   uint64_t depth_samples = 0;  // occupancy samples (one per push)
   uint64_t peak_depth = 0;     // highest observed queue depth
   double depth_sum = 0;        // sum of sampled depths (avg = sum/samples)
@@ -47,91 +52,52 @@ struct OperatorRuntime {
   }
 };
 
+// One source's share of a query's traffic.
+struct SourceTraffic {
+  uint64_t rows = 0;      // result rows shipped by this source
+  uint64_t messages = 0;  // delay-channel transfers
+  double delay_ms = 0;    // simulated delay injected on this channel
+  uint64_t retries = 0;   // sub-query re-attempts against this source
+};
+
 // q-error of one cardinality estimate: max(e/a, a/e) with both sides
 // clamped to >= 1 so empty operators do not divide by zero (the standard
 // definition from the cardinality-estimation literature; 1.0 = exact).
 // Returns -1 when there is no estimate (estimated < 0).
 double QError(double estimated, double actual);
 
-// Everything BuildQueryProfile needs, in fed-agnostic form. labels/rows/
-// estimates/runtime are parallel per-operator arrays (estimates and runtime
-// may be empty or shorter when unavailable — e.g. collect_metrics off).
-struct QueryProfileInputs {
-  std::vector<std::string> labels;
-  std::vector<uint64_t> rows;
-  std::vector<double> estimates;         // -1 = no estimate for that operator
-  std::vector<OperatorRuntime> runtime;  // empty when metrics were off
-
-  struct SourceTraffic {
-    uint64_t rows = 0;
-    uint64_t messages = 0;
-    uint64_t retries = 0;
-    double delay_ms = 0;  // simulated network delay injected on this channel
-  };
-  std::map<std::string, SourceTraffic> per_source;
-
-  std::vector<SpanRecord> spans;  // session span tree; empty when spans off
-  double total_s = 0;             // completion time, seconds
-  double first_s = -1;            // time to first answer; -1 = no answers
-  uint64_t answer_rows = 0;
-  std::string status = "ok";
-};
-
 struct QueryProfile {
-  struct Operator {
-    std::string label;
-    std::string source_id;      // empty for mediator operators
-    double estimated_rows = -1;  // -1 = planner made no estimate
-    uint64_t actual_rows = 0;
-    double q_error = -1;         // -1 = no estimate; 1.0 = exact
-    bool underestimate = false;  // estimate < actual (when q_error >= 0)
-    double wall_ms = -1;         // -1 = not measured (metrics off)
-    double compute_ms = -1;      // wall - push-wait - network, clamped >= 0
-    double push_wait_ms = 0;     // blocked pushing output (backpressure)
-    double pop_wait_ms = 0;      // consumer starved for this op's output
-    uint64_t push_waits = 0;
-    uint64_t pop_waits = 0;
-    double network_ms = 0;       // leaves: simulated transfer delay
-    double rows_per_sec = 0;     // actual_rows / wall time
-    uint64_t peak_queue_depth = 0;
-    double avg_queue_depth = 0;
-  };
-  struct Source {
-    std::string id;
-    uint64_t rows = 0;
-    uint64_t messages = 0;
-    uint64_t retries = 0;
-    double delay_ms = 0;
-  };
   struct Phase {  // top-level session spans: parse, plan, execute, ...
     std::string name;
     double ms = 0;
   };
 
-  std::vector<Operator> operators;
-  std::vector<Source> sources;
+  std::vector<OperatorRuntime> operators;        // in spawn order
+  std::map<std::string, SourceTraffic> sources;  // keyed by source id
   std::vector<Phase> phases;
   double total_ms = 0;
   double first_answer_ms = -1;  // -1 = no answers
   uint64_t answer_rows = 0;
   std::string status = "ok";
-  // Label of the operator with the largest total push-wait — the one whose
-  // consumer is the bottleneck. Empty when no queue wait was observed.
-  std::string backpressure_dominant;
-  double max_q_error = -1;  // across operators with estimates; -1 = none
+
+  // Largest q-error across operators with estimates; -1 = none.
+  double MaxQError() const;
 
   // EXPLAIN ANALYZE rendering: session header, phase line, one aligned row
-  // per operator (est vs actual, q-error, time split, rows/s), the
-  // backpressure verdict and the per-source traffic.
+  // per operator (est vs actual, q-error, time split, rows/s), and the
+  // per-source traffic.
   std::string ToText() const;
   // Stable JSON (keys in fixed order, operators in plan order):
-  // {"status":..,"total_ms":..,"rows":..,"max_q_error":..,
-  //  "backpressure_dominant":..,"phases":[..],"operators":[..],
-  //  "sources":[..]}. Absent measurements are -1, never omitted keys.
+  // {"status":..,"total_ms":..,"first_answer_ms":..,"rows":..,
+  //  "max_q_error":..,"phases":[..],"operators":[..],"sources":[..]}.
+  // Absent measurements are -1, never omitted keys.
   std::string ToJson() const;
 };
 
-QueryProfile BuildQueryProfile(const QueryProfileInputs& in);
+// The session phases of a span tree: the direct children of its root
+// span(s), in start order.
+std::vector<QueryProfile::Phase> SessionPhases(
+    const std::vector<SpanRecord>& spans);
 
 }  // namespace lakefed::obs
 

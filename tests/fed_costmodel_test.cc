@@ -123,10 +123,9 @@ TEST_F(FedCostModelTest, RuntimeFeedbackTightensEstimates) {
   auto error_of = [](const QueryAnswer& answer) {
     double error = 0;
     size_t estimated = 0;
-    for (size_t i = 0; i < answer.operator_estimates.size(); ++i) {
-      if (answer.operator_estimates[i] < 0) continue;
-      error += std::abs(answer.operator_estimates[i] -
-                        static_cast<double>(answer.operator_rows[i].second));
+    for (const obs::OperatorRuntime& op : answer.operator_runtime) {
+      if (op.estimated_rows < 0) continue;
+      error += std::abs(op.estimated_rows - static_cast<double>(op.rows));
       ++estimated;
     }
     EXPECT_GT(estimated, 0u);
@@ -141,7 +140,7 @@ TEST_F(FedCostModelTest, RuntimeFeedbackTightensEstimates) {
   EXPECT_LE(error_of(second), error_of(first));
 }
 
-TEST_F(FedCostModelTest, PerSourceBreakdownSumsToTotals) {
+TEST_F(FedCostModelTest, PerSourceTrafficSumsToTotals) {
   const lslod::BenchmarkQuery* q = lslod::FindQuery("Q2");
   ASSERT_NE(q, nullptr);
   QueryAnswer answer = Run(q->sparql, SlowNetworkOptions(true));

@@ -175,13 +175,13 @@ TEST_F(FedEngineTest, TraceIsMonotoneAndComplete) {
 TEST_F(FedEngineTest, OperatorStatsPopulated) {
   PlanOptions options;
   QueryAnswer answer = Run(lslod::FindQuery("Q3")->sparql, options);
-  ASSERT_FALSE(answer.operator_rows.empty());
+  ASSERT_FALSE(answer.operator_runtime.empty());
   // The Project operator's row count equals the final answer count.
   uint64_t project_rows = 0;
   bool saw_service = false;
-  for (const auto& [label, rows] : answer.operator_rows) {
-    if (label.rfind("Project", 0) == 0) project_rows = rows;
-    if (label.rfind("Service", 0) == 0) saw_service = true;
+  for (const obs::OperatorRuntime& op : answer.operator_runtime) {
+    if (op.label.rfind("Project", 0) == 0) project_rows = op.rows;
+    if (op.label.rfind("Service", 0) == 0) saw_service = true;
   }
   EXPECT_EQ(project_rows, answer.rows.size());
   EXPECT_TRUE(saw_service);

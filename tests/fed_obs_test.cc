@@ -11,6 +11,7 @@
 #include "lslod/queries.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "obs/querylog.h"
 #include "obs/span.h"
 
 namespace lakefed::fed {
@@ -182,26 +183,24 @@ TEST_F(FedObsTest, ProfileJoinsEstimatesAndRuntime) {
   auto answer = (*stream)->Drain();
   ASSERT_TRUE(answer.ok()) << answer.status();
 
-  // The three per-operator channels stay parallel.
-  size_t ops = (*stream)->operator_rows().size();
+  size_t ops = (*stream)->operator_runtime().size();
   ASSERT_GT(ops, 0u);
-  EXPECT_EQ((*stream)->operator_estimates().size(), ops);
-  EXPECT_EQ((*stream)->operator_runtime().size(), ops);
 
   obs::QueryProfile profile = (*stream)->profile();
   ASSERT_EQ(profile.operators.size(), ops);
   // The cost model estimated at least one operator, so q-errors exist.
-  EXPECT_GE(profile.max_q_error, 1.0) << profile.ToText();
+  EXPECT_GE(profile.MaxQError(), 1.0) << profile.ToText();
   bool has_estimate = false;
   bool leaf_with_source = false;
-  for (const obs::QueryProfile::Operator& op : profile.operators) {
-    if (op.q_error >= 0) has_estimate = true;
+  for (const obs::OperatorRuntime& op : profile.operators) {
+    if (op.estimated_rows >= 0) has_estimate = true;
     // Metrics were on: every operator measured its wall time.
     EXPECT_GE(op.wall_ms, 0.0) << op.label;
     if (!op.source_id.empty()) {
       leaf_with_source = true;
       // Gamma3 injects delay on every channel, charged as network time.
-      EXPECT_GT(op.network_ms, 0.0) << op.label;
+      ASSERT_EQ(profile.sources.count(op.source_id), 1u) << op.label;
+      EXPECT_GT(profile.sources.at(op.source_id).delay_ms, 0.0) << op.label;
     }
   }
   EXPECT_TRUE(has_estimate) << profile.ToText();
@@ -229,43 +228,85 @@ TEST_F(FedObsTest, ProfileRendersTextAndStableJson) {
   obs::QueryProfile profile = (*stream)->profile();
   std::string text = profile.ToText();
   EXPECT_TRUE(StartsWith(text, "QUERY PROFILE")) << text;
-  EXPECT_TRUE(Contains(text, "backpressure-dominant:")) << text;
   EXPECT_TRUE(Contains(text, "per-source traffic:")) << text;
 
   std::string json = profile.ToJson();
   for (const char* key :
        {"\"status\":\"ok\"", "\"total_ms\":", "\"first_answer_ms\":",
-        "\"max_q_error\":", "\"backpressure_dominant\":", "\"phases\":",
-        "\"operators\":", "\"sources\":", "\"q_error\":",
-        "\"peak_queue_depth\":"}) {
+        "\"max_q_error\":", "\"phases\":", "\"operators\":",
+        "\"sources\":", "\"q_error\":", "\"peak_queue_depth\":"}) {
     EXPECT_TRUE(Contains(json, key)) << key << " missing in " << json;
   }
 }
 
 TEST_F(FedObsTest, ProfileDegradesGracefullyWithMetricsOff) {
   PlanOptions off = Gamma3Options();
+  off.use_cost_model = true;  // the records still carry the estimates
   off.collect_metrics = false;
   auto stream = lake_->engine->CreateSession(
       QueryRequest::Text(q3_->sparql, off));
   ASSERT_TRUE(stream.ok()) << stream.status();
   ASSERT_TRUE((*stream)->Drain().ok());
 
-  // Runtime entries stay parallel but default-valued: no wall clocks, no
-  // queue instrumentation ran on the hot path.
-  ASSERT_EQ((*stream)->operator_runtime().size(),
-            (*stream)->operator_rows().size());
-  for (const obs::OperatorRuntime& rt : (*stream)->operator_runtime()) {
+  // Each record still names its operator and carries its rows and
+  // estimate; the runtime fields stay unmeasured: no wall clocks, no queue
+  // instrumentation ran on the hot path.
+  const std::vector<obs::OperatorRuntime>& ops = (*stream)->operator_runtime();
+  ASSERT_FALSE(ops.empty());
+  uint64_t total_rows = 0;
+  bool has_estimate = false;
+  bool leaf_with_source = false;
+  for (const obs::OperatorRuntime& rt : ops) {
+    EXPECT_FALSE(rt.label.empty());
+    total_rows += rt.rows;
+    if (rt.estimated_rows >= 0) has_estimate = true;
+    if (!rt.source_id.empty()) leaf_with_source = true;
     EXPECT_EQ(rt.wall_ms, -1);
     EXPECT_EQ(rt.push_waits, 0u);
     EXPECT_EQ(rt.pop_waits, 0u);
     EXPECT_EQ(rt.depth_samples, 0u);
   }
+  EXPECT_GT(total_rows, 0u);
+  EXPECT_TRUE(has_estimate);
+  EXPECT_TRUE(leaf_with_source);
   obs::QueryProfile profile = (*stream)->profile();
-  EXPECT_EQ(profile.operators.size(), (*stream)->operator_rows().size());
-  EXPECT_TRUE(profile.backpressure_dominant.empty());
+  EXPECT_EQ(profile.operators.size(), ops.size());
   // Rendering still works: unmeasured times print as "-", not garbage.
   EXPECT_TRUE(Contains(profile.ToText(), "QUERY PROFILE"));
   EXPECT_TRUE(Contains(profile.ToJson(), "\"wall_ms\":-1"));
+}
+
+TEST_F(FedObsTest, EveryViewRendersTheSameOperatorRecords) {
+  obs::QueryLogConfig config;
+  config.slow_ms = 0;  // every query is slow: its profile is captured
+  obs::QueryLog log(config);
+  PlanOptions options = Gamma3Options();
+  options.use_cost_model = true;
+  options.query_log = &log;
+  auto stream = lake_->engine->CreateSession(
+      QueryRequest::Text(q3_->sparql, options));
+  ASSERT_TRUE(stream.ok()) << stream.status();
+  auto answer = (*stream)->Drain();
+  ASSERT_TRUE(answer.ok()) << answer.status();
+
+  // The flight recorder captured the very profile the session renders.
+  const obs::QueryProfile profile = (*stream)->profile();
+  const std::vector<obs::QueryLogRecord> records = log.Snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_TRUE(records[0].slow);
+  EXPECT_EQ(records[0].profile_json, profile.ToJson());
+
+  // The drained answer carries the same operator records, in order.
+  ASSERT_EQ(answer->operator_runtime.size(), profile.operators.size());
+  ASSERT_FALSE(profile.operators.empty());
+  for (size_t i = 0; i < profile.operators.size(); ++i) {
+    const obs::OperatorRuntime& drained = answer->operator_runtime[i];
+    const obs::OperatorRuntime& profiled = profile.operators[i];
+    EXPECT_EQ(drained.label, profiled.label) << i;
+    EXPECT_EQ(drained.rows, profiled.rows) << profiled.label;
+    EXPECT_EQ(drained.estimated_rows, profiled.estimated_rows)
+        << profiled.label;
+  }
 }
 
 }  // namespace

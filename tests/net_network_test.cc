@@ -49,7 +49,9 @@ TEST(NetworkProfileTest, TimeScaleScalesMean) {
 TEST(DelayChannelTest, NoDelayTransfersInstantly) {
   DelayChannel channel(NetworkProfile::NoDelay(), 1);
   Stopwatch sw;
-  for (int i = 0; i < 1000; ++i) channel.Transfer();
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(channel.Transfer(CancellationToken()).ok());
+  }
   EXPECT_LT(sw.ElapsedMillis(), 50.0);
   EXPECT_EQ(channel.messages_transferred(), 1000u);
   EXPECT_DOUBLE_EQ(channel.total_delay_ms(), 0.0);
@@ -70,7 +72,9 @@ TEST(DelayChannelTest, TransferActuallySleeps) {
   p.time_scale = 0.1;
   DelayChannel channel(p, 3);
   Stopwatch sw;
-  for (int i = 0; i < 100; ++i) channel.Transfer();
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(channel.Transfer(CancellationToken()).ok());
+  }
   double elapsed = sw.ElapsedMillis();
   EXPECT_GT(elapsed, 20.0);
   EXPECT_GT(channel.total_delay_ms(), 20.0);

@@ -1,12 +1,14 @@
-// QueryProfile unit tests: the q-error definition, the per-operator join
-// performed by BuildQueryProfile (estimates + actuals + runtime + traffic +
-// spans), and the shape/stability of the JSON rendering.
+// QueryProfile unit tests: the q-error definition, the figures the
+// renderings derive from the operator and source records (q-error,
+// compute/network split, rows/s), the session phases of a span tree, and
+// the shape/stability of the text and JSON renderings.
 
 #include "obs/profile.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/string_util.h"
 
@@ -36,13 +38,13 @@ TEST(QErrorTest, NoEstimateIsSentinel) {
   EXPECT_DOUBLE_EQ(QError(-0.5, 0), -1.0);
 }
 
-QueryProfileInputs TwoOperatorInputs() {
-  QueryProfileInputs in;
-  in.labels = {"Service[src1]", "Project ?x"};
-  in.rows = {200, 50};
-  in.estimates = {100, -1};
+QueryProfile TwoOperatorProfile() {
+  QueryProfile p;
   OperatorRuntime leaf;
+  leaf.label = "Service[src1]";
   leaf.source_id = "src1";
+  leaf.rows = 200;
+  leaf.estimated_rows = 100;
   leaf.wall_ms = 10;
   leaf.push_waits = 3;
   leaf.push_wait_ms = 4;
@@ -50,96 +52,95 @@ QueryProfileInputs TwoOperatorInputs() {
   leaf.depth_sum = 6;
   leaf.peak_depth = 5;
   OperatorRuntime project;
+  project.label = "Project ?x";
+  project.rows = 50;
   project.wall_ms = 8;
   project.pop_waits = 1;
   project.pop_wait_ms = 2;
-  in.runtime = {leaf, project};
-  QueryProfileInputs::SourceTraffic traffic;
+  p.operators = {leaf, project};
+  SourceTraffic traffic;
   traffic.rows = 200;
   traffic.messages = 200;
   traffic.retries = 1;
   traffic.delay_ms = 3;
-  in.per_source.emplace("src1", traffic);
-  in.total_s = 0.5;
-  in.first_s = 0.1;
-  in.answer_rows = 50;
-  return in;
+  p.sources.emplace("src1", traffic);
+  p.total_ms = 500;
+  p.first_answer_ms = 100;
+  p.answer_rows = 50;
+  return p;
 }
 
 TEST(QueryProfileTest, JoinsEstimatesRuntimeAndTraffic) {
-  QueryProfile p = BuildQueryProfile(TwoOperatorInputs());
-  ASSERT_EQ(p.operators.size(), 2u);
-
-  const QueryProfile::Operator& leaf = p.operators[0];
-  EXPECT_EQ(leaf.label, "Service[src1]");
-  EXPECT_EQ(leaf.source_id, "src1");
-  EXPECT_EQ(leaf.actual_rows, 200u);
-  EXPECT_DOUBLE_EQ(leaf.estimated_rows, 100.0);
-  EXPECT_DOUBLE_EQ(leaf.q_error, 2.0);
-  EXPECT_TRUE(leaf.underestimate);
-  // compute = wall - push_wait - network, network charged from the
-  // operator's source traffic.
-  EXPECT_DOUBLE_EQ(leaf.network_ms, 3.0);
-  EXPECT_DOUBLE_EQ(leaf.compute_ms, 10.0 - 4.0 - 3.0);
-  EXPECT_DOUBLE_EQ(leaf.rows_per_sec, 200 / (10.0 / 1e3));
-  EXPECT_EQ(leaf.peak_queue_depth, 5u);
-  EXPECT_DOUBLE_EQ(leaf.avg_queue_depth, 3.0);
-
-  const QueryProfile::Operator& project = p.operators[1];
-  EXPECT_DOUBLE_EQ(project.q_error, -1.0);  // no estimate
-  EXPECT_FALSE(project.underestimate);
-  EXPECT_DOUBLE_EQ(project.pop_wait_ms, 2.0);
-
-  EXPECT_DOUBLE_EQ(p.max_q_error, 2.0);
-  EXPECT_EQ(p.backpressure_dominant, "Service[src1]");
-  EXPECT_DOUBLE_EQ(p.total_ms, 500.0);
-  EXPECT_DOUBLE_EQ(p.first_answer_ms, 100.0);
-  ASSERT_EQ(p.sources.size(), 1u);
-  EXPECT_EQ(p.sources[0].retries, 1u);
+  QueryProfile p = TwoOperatorProfile();
+  // Leaf: q-error 2 (underestimate); compute = wall - push_wait - network,
+  // network charged from the operator's source traffic; rows/s from wall.
+  // Project: no estimate, so q-error -1; no source, so no network share.
+  EXPECT_EQ(
+      p.ToJson(),
+      "{\"status\":\"ok\",\"total_ms\":500,\"first_answer_ms\":100,"
+      "\"rows\":50,\"max_q_error\":2,\"phases\":[],\"operators\":["
+      "{\"label\":\"Service[src1]\",\"source\":\"src1\","
+      "\"estimated_rows\":100,\"actual_rows\":200,\"q_error\":2,"
+      "\"underestimate\":true,\"wall_ms\":10,\"compute_ms\":3,"
+      "\"push_wait_ms\":4,\"pop_wait_ms\":0,\"push_waits\":3,"
+      "\"pop_waits\":0,\"network_ms\":3,\"rows_per_sec\":20000,"
+      "\"peak_queue_depth\":5,\"avg_queue_depth\":3},"
+      "{\"label\":\"Project ?x\",\"source\":\"\",\"estimated_rows\":-1,"
+      "\"actual_rows\":50,\"q_error\":-1,\"underestimate\":false,"
+      "\"wall_ms\":8,\"compute_ms\":8,\"push_wait_ms\":0,"
+      "\"pop_wait_ms\":2,\"push_waits\":0,\"pop_waits\":1,"
+      "\"network_ms\":0,\"rows_per_sec\":6250,\"peak_queue_depth\":0,"
+      "\"avg_queue_depth\":0}],\"sources\":[{\"id\":\"src1\","
+      "\"rows\":200,\"messages\":200,\"delay_ms\":3,\"retries\":1}]}");
+  EXPECT_DOUBLE_EQ(p.MaxQError(), 2.0);
+  EXPECT_DOUBLE_EQ(p.operators[0].avg_depth(), 3.0);
 }
 
 TEST(QueryProfileTest, ComputeClampsAtZero) {
-  QueryProfileInputs in = TwoOperatorInputs();
-  in.runtime[0].push_wait_ms = 100;  // waits exceed wall time
-  QueryProfile p = BuildQueryProfile(in);
-  EXPECT_DOUBLE_EQ(p.operators[0].compute_ms, 0.0);
+  QueryProfile p = TwoOperatorProfile();
+  p.operators[0].push_wait_ms = 100;  // waits exceed wall time
+  EXPECT_TRUE(Contains(p.ToJson(), "\"compute_ms\":0,")) << p.ToJson();
 }
 
 TEST(QueryProfileTest, NoRuntimeLeavesWallUnmeasured) {
-  QueryProfileInputs in = TwoOperatorInputs();
-  in.runtime.clear();  // collect_metrics off
-  QueryProfile p = BuildQueryProfile(in);
-  EXPECT_DOUBLE_EQ(p.operators[0].wall_ms, -1.0);
-  EXPECT_DOUBLE_EQ(p.operators[0].compute_ms, -1.0);
-  EXPECT_TRUE(p.backpressure_dominant.empty());
+  QueryProfile p = TwoOperatorProfile();
+  for (OperatorRuntime& op : p.operators) {  // collect_metrics off
+    op.wall_ms = -1;
+    op.push_waits = 0;
+    op.push_wait_ms = 0;
+    op.pop_waits = 0;
+    op.pop_wait_ms = 0;
+  }
+  std::string json = p.ToJson();
+  EXPECT_TRUE(Contains(json, "\"wall_ms\":-1,\"compute_ms\":-1,")) << json;
+  EXPECT_FALSE(Contains(json, "\"wall_ms\":10")) << json;
   // q-errors still computed: they need only estimates and row counts.
-  EXPECT_DOUBLE_EQ(p.operators[0].q_error, 2.0);
+  EXPECT_TRUE(Contains(json, "\"q_error\":2,")) << json;
+  EXPECT_TRUE(Contains(p.ToText(), "2.00v")) << p.ToText();
 }
 
 TEST(QueryProfileTest, PhasesAreRootChildren) {
-  QueryProfileInputs in = TwoOperatorInputs();
   SpanRecord root{1, 0, "session", 0, 10};
   SpanRecord parse{2, 1, "parse", 0, 1};
   SpanRecord execute{3, 1, "execute", 1, 9};
   SpanRecord nested{4, 3, "join", 2, 8};  // grandchild: not a phase
-  in.spans = {root, parse, execute, nested};
-  QueryProfile p = BuildQueryProfile(in);
-  ASSERT_EQ(p.phases.size(), 2u);
-  EXPECT_EQ(p.phases[0].name, "parse");
-  EXPECT_DOUBLE_EQ(p.phases[0].ms, 1.0);
-  EXPECT_EQ(p.phases[1].name, "execute");
-  EXPECT_DOUBLE_EQ(p.phases[1].ms, 8.0);
+  std::vector<QueryProfile::Phase> phases =
+      SessionPhases({root, parse, execute, nested});
+  ASSERT_EQ(phases.size(), 2u);
+  EXPECT_EQ(phases[0].name, "parse");
+  EXPECT_DOUBLE_EQ(phases[0].ms, 1.0);
+  EXPECT_EQ(phases[1].name, "execute");
+  EXPECT_DOUBLE_EQ(phases[1].ms, 8.0);
 }
 
 TEST(QueryProfileTest, JsonHasStableShape) {
-  QueryProfile p = BuildQueryProfile(TwoOperatorInputs());
+  QueryProfile p = TwoOperatorProfile();
   std::string json = p.ToJson();
   // Fixed key order at the top level.
-  const char* keys[] = {"\"status\"",        "\"total_ms\"",
+  const char* keys[] = {"\"status\"",          "\"total_ms\"",
                         "\"first_answer_ms\"", "\"rows\"",
-                        "\"max_q_error\"",   "\"backpressure_dominant\"",
-                        "\"phases\"",        "\"operators\"",
-                        "\"sources\""};
+                        "\"max_q_error\"",     "\"phases\"",
+                        "\"operators\"",       "\"sources\""};
   size_t pos = 0;
   for (const char* key : keys) {
     size_t next = json.find(key, pos);
@@ -155,30 +156,39 @@ TEST(QueryProfileTest, JsonHasStableShape) {
 }
 
 TEST(QueryProfileTest, JsonEscapesLabels) {
-  QueryProfileInputs in;
-  in.labels = {"Filter regex(\"a\\b\")"};
-  in.rows = {1};
-  QueryProfile p = BuildQueryProfile(in);
+  QueryProfile p;
+  OperatorRuntime op;
+  op.label = "Filter regex(\"a\\b\")";
+  op.rows = 1;
+  p.operators = {op};
   std::string json = p.ToJson();
   EXPECT_TRUE(Contains(json, "Filter regex(\\\"a\\\\b\\\")")) << json;
 }
 
-TEST(QueryProfileTest, TextRendersQErrorDirectionAndBackpressure) {
-  QueryProfile p = BuildQueryProfile(TwoOperatorInputs());
-  std::string text = p.ToText();
-  EXPECT_TRUE(Contains(text, "QUERY PROFILE")) << text;
-  EXPECT_TRUE(Contains(text, "2.00v")) << text;  // underestimate marker
-  EXPECT_TRUE(Contains(text, "backpressure-dominant: Service[src1]"))
-      << text;
-  EXPECT_TRUE(Contains(text, "max q-error: 2.00")) << text;
-  EXPECT_TRUE(Contains(text, "src1")) << text;
+TEST(QueryProfileTest, TextRendersQErrorDirection) {
+  QueryProfile p = TwoOperatorProfile();
+  EXPECT_EQ(
+      p.ToText(),
+      "QUERY PROFILE  status=ok  rows=50  total=500.00 ms  first=100.00 ms\n"
+      "       est     actual    q-err    wall_ms    compute queue_wait"
+      "     net_ms      rows/s  operator\n"
+      "       100        200    2.00v      10.00       3.00       4.00"
+      "       3.00       20000  Service[src1]\n"
+      "         -         50        -       8.00       8.00       2.00"
+      "       0.00        6250  Project ?x\n"
+      "max q-error: 2.00  (v = underestimate, ^ = overestimate)\n"
+      "per-source traffic:\n"
+      "       200 rows         200 msgs        3.00 ms  src1  (1 retries)\n");
+  // An overestimate flips the direction marker.
+  p.operators[0].estimated_rows = 400;
+  EXPECT_TRUE(Contains(p.ToText(), "2.00^")) << p.ToText();
 }
 
 TEST(QueryProfileTest, EmptyProfileStillRenders) {
-  QueryProfile p = BuildQueryProfile(QueryProfileInputs{});
+  QueryProfile p;
   EXPECT_TRUE(Contains(p.ToText(), "QUERY PROFILE"));
   EXPECT_TRUE(Contains(p.ToJson(), "\"operators\":[]"));
-  EXPECT_DOUBLE_EQ(p.max_q_error, -1.0);
+  EXPECT_DOUBLE_EQ(p.MaxQError(), -1.0);
 }
 
 }  // namespace

@@ -282,14 +282,16 @@ TEST(SchedulerEquivalenceMiscTest, ExplainAnalyzeStillPopulatedUnderScheduler) {
   ASSERT_TRUE(tasked.ok()) << tasked.status();
 
   // Same plan, same operator set, same per-operator output row counts.
-  std::multiset<std::pair<std::string, uint64_t>> tasked_ops(
-      tasked->operator_rows.begin(), tasked->operator_rows.end());
-  std::multiset<std::pair<std::string, uint64_t>> engine_pool_ops(
-      engine_pool->operator_rows.begin(), engine_pool->operator_rows.end());
-  EXPECT_EQ(tasked_ops, engine_pool_ops);
-  // Runtime accounting parallel to the operators, with queue-depth samples
-  // showing the wait observers were attached and exercised.
-  ASSERT_EQ(tasked->operator_runtime.size(), tasked->operator_rows.size());
+  auto op_rows = [](const fed::QueryAnswer& answer) {
+    std::multiset<std::pair<std::string, uint64_t>> ops;
+    for (const obs::OperatorRuntime& op : answer.operator_runtime) {
+      ops.emplace(op.label, op.rows);
+    }
+    return ops;
+  };
+  EXPECT_EQ(op_rows(*tasked), op_rows(*engine_pool));
+  // Queue-depth samples show the wait observers were attached and
+  // exercised.
   uint64_t depth_samples = 0;
   for (const obs::OperatorRuntime& rt : tasked->operator_runtime) {
     depth_samples += rt.depth_samples;
