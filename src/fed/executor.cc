@@ -1710,9 +1710,13 @@ class PlanExecution::Impl {
                               TaskWriter<rdf::Binding>* w) mutable {
           for (TaggedRow& item : in_batch) {
             const int side = item.side;
-            const rdf::Binding& row = item.row;
-            if (!JoinKey(row, join_vars, &key)) continue;
-            table[side][key].push_back(row);
+            if (!JoinKey(item.row, join_vars, &key)) continue;
+            // Move the row into its bucket and merge from the stored copy;
+            // the other side's table is a different map, so this reference
+            // stays valid while the matches are merged.
+            std::vector<rdf::Binding>& bucket = table[side][key];
+            bucket.push_back(std::move(item.row));
+            const rdf::Binding& row = bucket.back();
             auto it = table[1 - side].find(key);
             if (it == table[1 - side].end()) continue;
             for (const rdf::Binding& other : it->second) {

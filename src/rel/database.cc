@@ -1,6 +1,26 @@
 #include "rel/database.h"
 
 namespace lakefed::rel {
+namespace {
+
+// Runs a planned statement through `visit` (see Database::Scan).
+Status Drive(PhysOp* plan, const RowVisitor& visit, ExecCounters* counters) {
+  LAKEFED_RETURN_NOT_OK(plan->Open());
+  size_t produced = 0;
+  while (true) {
+    LAKEFED_ASSIGN_OR_RETURN(const Row* row, plan->Next());
+    if (row == nullptr) break;
+    ++produced;
+    if (!visit(*row)) break;
+  }
+  if (counters != nullptr) {
+    plan->AccumulateCounters(counters);
+    counters->rows_produced = produced;
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Result<QueryResult> Database::Execute(const std::string& sql) const {
   LAKEFED_ASSIGN_OR_RETURN(SelectStatement stmt, ParseSql(sql));
@@ -12,19 +32,24 @@ Result<QueryResult> Database::ExecuteStatement(
   LAKEFED_ASSIGN_OR_RETURN(PhysOpPtr plan,
                            PlanSelect(stmt, catalog_, options_));
   QueryResult result;
-  result.plan = plan->Explain();
   for (const ColumnDef& col : plan->output_schema().columns()) {
     result.column_names.push_back(col.name);
   }
-  LAKEFED_RETURN_NOT_OK(plan->Open());
-  while (true) {
-    LAKEFED_ASSIGN_OR_RETURN(std::optional<Row> row, plan->Next());
-    if (!row.has_value()) break;
-    result.rows.push_back(std::move(*row));
-  }
-  plan->AccumulateCounters(&result.counters);
-  result.counters.rows_produced = result.rows.size();
+  LAKEFED_RETURN_NOT_OK(Drive(
+      plan.get(),
+      [&result](const Row& row) {
+        result.rows.push_back(row);
+        return true;
+      },
+      &result.counters));
   return result;
+}
+
+Status Database::Scan(const SelectStatement& stmt, const RowVisitor& visit,
+                      ExecCounters* counters) const {
+  LAKEFED_ASSIGN_OR_RETURN(PhysOpPtr plan,
+                           PlanSelect(stmt, catalog_, options_));
+  return Drive(plan.get(), visit, counters);
 }
 
 Result<std::string> Database::Explain(const std::string& sql) const {

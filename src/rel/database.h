@@ -5,6 +5,7 @@
 #ifndef LAKEFED_REL_DATABASE_H_
 #define LAKEFED_REL_DATABASE_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -19,8 +20,11 @@ struct QueryResult {
   std::vector<std::string> column_names;
   std::vector<Row> rows;
   ExecCounters counters;
-  std::string plan;  // EXPLAIN text of the executed plan
 };
+
+// Called once per result row; the row is only valid during the call.
+// Returning false stops the plan.
+using RowVisitor = std::function<bool(const Row&)>;
 
 class Database {
  public:
@@ -37,6 +41,12 @@ class Database {
   // Parses, plans and fully executes a SELECT.
   Result<QueryResult> Execute(const std::string& sql) const;
   Result<QueryResult> ExecuteStatement(const SelectStatement& stmt) const;
+
+  // Plans `stmt` and streams its rows through `visit` as the plan produces
+  // them, without materializing the result. Fills `counters` (may be null)
+  // with the work done, also when `visit` stops the plan early.
+  Status Scan(const SelectStatement& stmt, const RowVisitor& visit,
+              ExecCounters* counters) const;
 
   // The plan that would be executed, without running it.
   Result<std::string> Explain(const std::string& sql) const;

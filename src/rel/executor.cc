@@ -49,10 +49,10 @@ Status SeqScanOp::Open() {
   return Status::OK();
 }
 
-Result<std::optional<Row>> SeqScanOp::Next() {
-  if (pos_ >= table_->num_rows()) return std::optional<Row>{};
+Result<const Row*> SeqScanOp::Next() {
+  if (pos_ >= table_->num_rows()) return nullptr;
   ++rows_read_;
-  return std::optional<Row>(table_->row(static_cast<RowId>(pos_++)));
+  return &table_->row(static_cast<RowId>(pos_++));
 }
 
 std::string SeqScanOp::Describe() const {
@@ -117,9 +117,9 @@ Status IndexScanOp::Open() {
   return Status::OK();
 }
 
-Result<std::optional<Row>> IndexScanOp::Next() {
-  if (pos_ >= matches_.size()) return std::optional<Row>{};
-  return std::optional<Row>(table_->row(matches_[pos_++]));
+Result<const Row*> IndexScanOp::Next() {
+  if (pos_ >= matches_.size()) return nullptr;
+  return &table_->row(matches_[pos_++]);
 }
 
 std::string IndexScanOp::Describe() const {
@@ -142,10 +142,10 @@ FilterOp::FilterOp(PhysOpPtr child, ExprPtr predicate)
 
 Status FilterOp::Open() { return child_->Open(); }
 
-Result<std::optional<Row>> FilterOp::Next() {
+Result<const Row*> FilterOp::Next() {
   while (true) {
-    LAKEFED_ASSIGN_OR_RETURN(std::optional<Row> row, child_->Next());
-    if (!row.has_value()) return std::optional<Row>{};
+    LAKEFED_ASSIGN_OR_RETURN(const Row* row, child_->Next());
+    if (row == nullptr) return nullptr;
     LAKEFED_ASSIGN_OR_RETURN(bool keep,
                              EvalPredicate(*predicate_, *row, schema_));
     if (keep) return row;
@@ -175,23 +175,30 @@ ProjectOp::ProjectOp(PhysOpPtr child, std::vector<SelectItem> items)
     }
     columns.push_back(std::move(def));
     item.expr = BindColumns(item.expr, child_->output_schema());
+    std::optional<size_t> column;
+    if (item.expr->kind() == Expr::Kind::kColumnRef) {
+      column = static_cast<const ColumnRefExpr*>(item.expr.get())->index();
+    }
+    copy_from_.push_back(column);
   }
   schema_ = Schema(std::move(columns));
+  out_.resize(items_.size());
 }
 
 Status ProjectOp::Open() { return child_->Open(); }
 
-Result<std::optional<Row>> ProjectOp::Next() {
-  LAKEFED_ASSIGN_OR_RETURN(std::optional<Row> row, child_->Next());
-  if (!row.has_value()) return std::optional<Row>{};
-  Row out;
-  out.reserve(items_.size());
-  for (const SelectItem& item : items_) {
-    LAKEFED_ASSIGN_OR_RETURN(Value v,
-                             item.expr->Eval(*row, child_->output_schema()));
-    out.push_back(std::move(v));
+Result<const Row*> ProjectOp::Next() {
+  LAKEFED_ASSIGN_OR_RETURN(const Row* row, child_->Next());
+  if (row == nullptr) return nullptr;
+  for (size_t i = 0; i < items_.size(); ++i) {
+    if (copy_from_[i].has_value()) {
+      out_[i] = (*row)[*copy_from_[i]];  // copy-assign: strings reuse capacity
+      continue;
+    }
+    LAKEFED_ASSIGN_OR_RETURN(
+        out_[i], items_[i].expr->Eval(*row, child_->output_schema()));
   }
-  return std::optional<Row>(std::move(out));
+  return &out_;
 }
 
 std::string ProjectOp::Describe() const {
@@ -307,8 +314,8 @@ Status AggregateOp::Materialize() {
   }
 
   while (true) {
-    LAKEFED_ASSIGN_OR_RETURN(std::optional<Row> row, child_->Next());
-    if (!row.has_value()) break;
+    LAKEFED_ASSIGN_OR_RETURN(const Row* row, child_->Next());
+    if (row == nullptr) break;
     std::string key;
     Row key_values;
     for (size_t idx : group_idx) {
@@ -374,10 +381,10 @@ Status AggregateOp::Materialize() {
   return Status::OK();
 }
 
-Result<std::optional<Row>> AggregateOp::Next() {
+Result<const Row*> AggregateOp::Next() {
   if (!materialized_) LAKEFED_RETURN_NOT_OK(Materialize());
-  if (pos_ >= results_.size()) return std::optional<Row>{};
-  return std::optional<Row>(results_[pos_++]);
+  if (pos_ >= results_.size()) return nullptr;
+  return &results_[pos_++];
 }
 
 std::string AggregateOp::Describe() const {
@@ -403,22 +410,12 @@ Status DistinctOp::Open() {
   return child_->Open();
 }
 
-Result<std::optional<Row>> DistinctOp::Next() {
+Result<const Row*> DistinctOp::Next() {
   while (true) {
-    LAKEFED_ASSIGN_OR_RETURN(std::optional<Row> row, child_->Next());
-    if (!row.has_value()) return std::optional<Row>{};
-    size_t h = RowHash{}(*row);
-    std::vector<Row>& bucket = seen_[h];
-    bool duplicate = false;
-    for (const Row& prev : bucket) {
-      if (prev == *row) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) continue;
-    bucket.push_back(*row);
-    return row;
+    LAKEFED_ASSIGN_OR_RETURN(const Row* row, child_->Next());
+    if (row == nullptr) return nullptr;
+    auto [it, inserted] = seen_.insert(*row);
+    if (inserted) return &*it;
   }
 }
 
@@ -436,7 +433,7 @@ Status SortOp::Open() {
   return child_->Open();
 }
 
-Result<std::optional<Row>> SortOp::Next() {
+Result<const Row*> SortOp::Next() {
   if (!materialized_) {
     std::vector<size_t> key_idx;
     std::vector<bool> ascending;
@@ -446,9 +443,9 @@ Result<std::optional<Row>> SortOp::Next() {
       ascending.push_back(item.ascending);
     }
     while (true) {
-      LAKEFED_ASSIGN_OR_RETURN(std::optional<Row> row, child_->Next());
-      if (!row.has_value()) break;
-      rows_.push_back(std::move(*row));
+      LAKEFED_ASSIGN_OR_RETURN(const Row* row, child_->Next());
+      if (row == nullptr) break;
+      rows_.push_back(*row);
     }
     std::stable_sort(rows_.begin(), rows_.end(),
                      [&](const Row& a, const Row& b) {
@@ -460,8 +457,8 @@ Result<std::optional<Row>> SortOp::Next() {
                      });
     materialized_ = true;
   }
-  if (pos_ >= rows_.size()) return std::optional<Row>{};
-  return std::optional<Row>(rows_[pos_++]);
+  if (pos_ >= rows_.size()) return nullptr;
+  return &rows_[pos_++];
 }
 
 std::string SortOp::Describe() const {
@@ -485,11 +482,10 @@ Status LimitOp::Open() {
   return child_->Open();
 }
 
-Result<std::optional<Row>> LimitOp::Next() {
-  if (emitted_ >= limit_) return std::optional<Row>{};
-  LAKEFED_ASSIGN_OR_RETURN(std::optional<Row> row, child_->Next());
-  if (!row.has_value()) return std::optional<Row>{};
-  ++emitted_;
+Result<const Row*> LimitOp::Next() {
+  if (emitted_ >= limit_) return nullptr;
+  LAKEFED_ASSIGN_OR_RETURN(const Row* row, child_->Next());
+  if (row != nullptr) ++emitted_;
   return row;
 }
 
@@ -511,6 +507,7 @@ HashJoinOp::HashJoinOp(PhysOpPtr left, PhysOpPtr right,
     columns.push_back(col);
   }
   schema_ = Schema(std::move(columns));
+  out_.resize(schema_.num_columns());
 }
 
 Status HashJoinOp::Open() {
@@ -518,6 +515,7 @@ Status HashJoinOp::Open() {
   LAKEFED_RETURN_NOT_OK(right_->Open());
   build_.clear();
   built_ = false;
+  probe_row_ = nullptr;
   matches_ = nullptr;
   match_pos_ = 0;
   left_key_idx_.clear();
@@ -537,57 +535,57 @@ Status HashJoinOp::Open() {
 
 Status HashJoinOp::BuildTable() {
   while (true) {
-    auto row_result = left_->Next();
-    LAKEFED_RETURN_NOT_OK(row_result.status());
-    if (!row_result.value().has_value()) break;
-    Row row = std::move(*row_result.value());
+    LAKEFED_ASSIGN_OR_RETURN(const Row* row, left_->Next());
+    if (row == nullptr) break;
     bool has_null_key = false;
     for (size_t idx : left_key_idx_) {
-      if (row[idx].is_null()) {
+      if ((*row)[idx].is_null()) {
         has_null_key = true;
         break;
       }
     }
     if (has_null_key) continue;  // NULL never joins
-    build_[HashKeyColumns(row, left_key_idx_)].push_back(std::move(row));
+    // The build side outlives left_'s next Next(): keep a copy.
+    build_[HashKeyColumns(*row, left_key_idx_)].push_back(*row);
   }
   built_ = true;
   return Status::OK();
 }
 
-Result<std::optional<Row>> HashJoinOp::Next() {
+Result<const Row*> HashJoinOp::Next() {
   if (!built_) LAKEFED_RETURN_NOT_OK(BuildTable());
   while (true) {
     if (matches_ != nullptr) {
+      const Row& probe = *probe_row_;
       while (match_pos_ < matches_->size()) {
         const Row& build_row = (*matches_)[match_pos_++];
         // Verify key equality (hash buckets may collide).
         bool equal = true;
         for (size_t k = 0; k < left_key_idx_.size(); ++k) {
-          if (build_row[left_key_idx_[k]] != probe_row_[right_key_idx_[k]]) {
+          if (build_row[left_key_idx_[k]] != probe[right_key_idx_[k]]) {
             equal = false;
             break;
           }
         }
         if (!equal) continue;
-        Row out = build_row;
-        out.insert(out.end(), probe_row_.begin(), probe_row_.end());
-        return std::optional<Row>(std::move(out));
+        std::copy(build_row.begin(), build_row.end(), out_.begin());
+        std::copy(probe.begin(), probe.end(),
+                  out_.begin() + static_cast<ptrdiff_t>(build_row.size()));
+        return &out_;
       }
       matches_ = nullptr;
     }
-    LAKEFED_ASSIGN_OR_RETURN(std::optional<Row> probe, right_->Next());
-    if (!probe.has_value()) return std::optional<Row>{};
-    probe_row_ = std::move(*probe);
+    LAKEFED_ASSIGN_OR_RETURN(probe_row_, right_->Next());
+    if (probe_row_ == nullptr) return nullptr;
     bool has_null_key = false;
     for (size_t idx : right_key_idx_) {
-      if (probe_row_[idx].is_null()) {
+      if ((*probe_row_)[idx].is_null()) {
         has_null_key = true;
         break;
       }
     }
     if (has_null_key) continue;
-    auto it = build_.find(HashKeyColumns(probe_row_, right_key_idx_));
+    auto it = build_.find(HashKeyColumns(*probe_row_, right_key_idx_));
     if (it == build_.end()) continue;
     matches_ = &it->second;
     match_pos_ = 0;
@@ -622,6 +620,7 @@ IndexNestedLoopJoinOp::IndexNestedLoopJoinOp(PhysOpPtr outer,
   std::vector<ColumnDef> columns = outer_->output_schema().columns();
   for (const ColumnDef& col : inner_schema_.columns()) columns.push_back(col);
   schema_ = Schema(std::move(columns));
+  out_.resize(schema_.num_columns());
 }
 
 Status IndexNestedLoopJoinOp::Open() {
@@ -633,6 +632,7 @@ Status IndexNestedLoopJoinOp::Open() {
                             inner_->name() + "." + inner_column_);
   }
   outer_done_ = false;
+  outer_row_ = nullptr;
   matches_.clear();
   match_pos_ = 0;
   lookups_ = 0;
@@ -640,7 +640,7 @@ Status IndexNestedLoopJoinOp::Open() {
   return Status::OK();
 }
 
-Result<std::optional<Row>> IndexNestedLoopJoinOp::Next() {
+Result<const Row*> IndexNestedLoopJoinOp::Next() {
   const BPlusTree* index = inner_->IndexOn(inner_column_);
   while (true) {
     while (match_pos_ < matches_.size()) {
@@ -652,18 +652,18 @@ Result<std::optional<Row>> IndexNestedLoopJoinOp::Next() {
             EvalPredicate(*inner_filter_, inner_row, inner_schema_));
         if (!keep) continue;
       }
-      Row out = outer_row_;
-      out.insert(out.end(), inner_row.begin(), inner_row.end());
-      return std::optional<Row>(std::move(out));
+      std::copy(outer_row_->begin(), outer_row_->end(), out_.begin());
+      std::copy(inner_row.begin(), inner_row.end(),
+                out_.begin() + static_cast<ptrdiff_t>(outer_row_->size()));
+      return &out_;
     }
-    if (outer_done_) return std::optional<Row>{};
-    LAKEFED_ASSIGN_OR_RETURN(std::optional<Row> outer, outer_->Next());
-    if (!outer.has_value()) {
+    if (outer_done_) return nullptr;
+    LAKEFED_ASSIGN_OR_RETURN(outer_row_, outer_->Next());
+    if (outer_row_ == nullptr) {
       outer_done_ = true;
-      return std::optional<Row>{};
+      return nullptr;
     }
-    outer_row_ = std::move(*outer);
-    const Value& key = outer_row_[outer_key_idx_];
+    const Value& key = (*outer_row_)[outer_key_idx_];
     matches_.clear();
     match_pos_ = 0;
     if (key.is_null()) continue;

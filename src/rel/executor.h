@@ -5,6 +5,15 @@
 // Scan operators emit rows under a *qualified* schema: column `c` of a table
 // scanned under alias `a` is named `a.c` so multi-table expressions resolve
 // unambiguously.
+//
+// Cursor contract: Next() lends its row — a pointer the operator keeps
+// valid until its next Next() or Open() call, nullptr at end of stream. No
+// operator copies a row to pass it on: scans lend the table's row in place,
+// Filter and Limit pass their child's pointer through, Project and the
+// joins assemble into one reused output row, Distinct lends the row it
+// stored in its seen-set, and Sort/Aggregate lend rows of their
+// materialized vectors. A consumer that needs a row past its child's next
+// Next() (a hash-join build side, a sort buffer) copies it.
 
 #ifndef LAKEFED_REL_EXECUTOR_H_
 #define LAKEFED_REL_EXECUTOR_H_
@@ -13,6 +22,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -38,8 +48,9 @@ class PhysOp {
 
   // (Re)starts the operator; idempotent.
   virtual Status Open() = 0;
-  // Next row, nullopt at end-of-stream.
-  virtual Result<std::optional<Row>> Next() = 0;
+  // Next row, borrowed until the next Next()/Open(); nullptr at end of
+  // stream.
+  virtual Result<const Row*> Next() = 0;
   // One-line description for EXPLAIN.
   virtual std::string Describe() const = 0;
   virtual std::vector<const PhysOp*> children() const { return {}; }
@@ -64,7 +75,7 @@ class SeqScanOp : public PhysOp {
  public:
   SeqScanOp(const Table* table, std::string alias);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
+  Result<const Row*> Next() override;
   std::string Describe() const override;
   void AccumulateCounters(ExecCounters* counters) const override;
 
@@ -88,7 +99,7 @@ class IndexScanOp : public PhysOp {
  public:
   IndexScanOp(const Table* table, std::string alias, IndexCondition condition);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
+  Result<const Row*> Next() override;
   std::string Describe() const override;
   void AccumulateCounters(ExecCounters* counters) const override;
 
@@ -107,7 +118,7 @@ class FilterOp : public PhysOp {
  public:
   FilterOp(PhysOpPtr child, ExprPtr predicate);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
+  Result<const Row*> Next() override;
   std::string Describe() const override;
   std::vector<const PhysOp*> children() const override {
     return {child_.get()};
@@ -126,7 +137,7 @@ class ProjectOp : public PhysOp {
   // Output column i is `items[i].expr` named `items[i].alias`.
   ProjectOp(PhysOpPtr child, std::vector<SelectItem> items);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
+  Result<const Row*> Next() override;
   std::string Describe() const override;
   std::vector<const PhysOp*> children() const override {
     return {child_.get()};
@@ -138,6 +149,10 @@ class ProjectOp : public PhysOp {
  private:
   PhysOpPtr child_;
   std::vector<SelectItem> items_;
+  // Child column of each item that is a bound column reference (copied
+  // cell-wise into out_), nullopt for computed items.
+  std::vector<std::optional<size_t>> copy_from_;
+  Row out_;  // reused output row
 };
 
 // Hash aggregation: groups child rows by the (qualified) `group_by` columns
@@ -150,7 +165,7 @@ class AggregateOp : public PhysOp {
   AggregateOp(PhysOpPtr child, std::vector<std::string> group_by,
               std::vector<SelectItem> items);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
+  Result<const Row*> Next() override;
   std::string Describe() const override;
   std::vector<const PhysOp*> children() const override {
     return {child_.get()};
@@ -174,7 +189,7 @@ class DistinctOp : public PhysOp {
  public:
   explicit DistinctOp(PhysOpPtr child);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
+  Result<const Row*> Next() override;
   std::string Describe() const override { return "Distinct"; }
   std::vector<const PhysOp*> children() const override {
     return {child_.get()};
@@ -185,14 +200,14 @@ class DistinctOp : public PhysOp {
 
  private:
   PhysOpPtr child_;
-  std::unordered_map<size_t, std::vector<Row>> seen_;
+  std::unordered_set<Row, RowHash> seen_;  // node-based: lent rows stay put
 };
 
 class SortOp : public PhysOp {
  public:
   SortOp(PhysOpPtr child, std::vector<OrderByItem> order_by);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
+  Result<const Row*> Next() override;
   std::string Describe() const override;
   std::vector<const PhysOp*> children() const override {
     return {child_.get()};
@@ -213,7 +228,7 @@ class LimitOp : public PhysOp {
  public:
   LimitOp(PhysOpPtr child, int64_t limit);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
+  Result<const Row*> Next() override;
   std::string Describe() const override;
   std::vector<const PhysOp*> children() const override {
     return {child_.get()};
@@ -238,7 +253,7 @@ class HashJoinOp : public PhysOp {
              std::vector<std::string> left_keys,
              std::vector<std::string> right_keys);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
+  Result<const Row*> Next() override;
   std::string Describe() const override;
   std::vector<const PhysOp*> children() const override {
     return {left_.get(), right_.get()};
@@ -256,10 +271,12 @@ class HashJoinOp : public PhysOp {
   std::vector<size_t> left_key_idx_, right_key_idx_;
   std::unordered_map<size_t, std::vector<Row>> build_;
   bool built_ = false;
-  // iteration state while draining matches for the current probe row
-  Row probe_row_;
+  // iteration state while draining matches for the current probe row,
+  // borrowed from right_ until its next Next()
+  const Row* probe_row_ = nullptr;
   const std::vector<Row>* matches_ = nullptr;
   size_t match_pos_ = 0;
+  Row out_;  // reused output row
 };
 
 // Index nested-loop join: for every outer row, probes the inner table's
@@ -271,7 +288,7 @@ class IndexNestedLoopJoinOp : public PhysOp {
                         std::string inner_alias, std::string outer_key,
                         std::string inner_column, ExprPtr inner_filter);
   Status Open() override;
-  Result<std::optional<Row>> Next() override;
+  Result<const Row*> Next() override;
   std::string Describe() const override;
   std::vector<const PhysOp*> children() const override {
     return {outer_.get()};
@@ -287,8 +304,10 @@ class IndexNestedLoopJoinOp : public PhysOp {
   ExprPtr inner_filter_;
   Schema inner_schema_;  // qualified
   size_t outer_key_idx_ = 0;
-  // iteration state
-  Row outer_row_;
+  // iteration state; the outer row is borrowed from outer_ until its next
+  // Next()
+  const Row* outer_row_ = nullptr;
+  Row out_;  // reused output row
   std::vector<RowId> matches_;
   size_t match_pos_ = 0;
   bool outer_done_ = true;

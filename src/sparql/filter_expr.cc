@@ -31,9 +31,21 @@ std::optional<double> TryNumeric(const rdf::Term& term) {
   return v;
 }
 
-int CompareTerms(const rdf::Term& a, const rdf::Term& b) {
-  return CompareTermsSparql(a, b);
+bool CompareHolds(FilterExpr::CompareOp op, const rdf::Term& lhs,
+                  const rdf::Term& rhs) {
+  int c = CompareTermsSparql(lhs, rhs);
+  switch (op) {
+    case FilterExpr::CompareOp::kEq: return c == 0;
+    case FilterExpr::CompareOp::kNe: return c != 0;
+    case FilterExpr::CompareOp::kLt: return c < 0;
+    case FilterExpr::CompareOp::kLe: return c <= 0;
+    case FilterExpr::CompareOp::kGt: return c > 0;
+    case FilterExpr::CompareOp::kGe: return c >= 0;
+  }
+  return false;
 }
+
+}  // namespace
 
 bool EffectiveBool(const rdf::Term& term) {
   if (!term.is_literal()) return true;  // IRIs/blanks are truthy
@@ -41,8 +53,6 @@ bool EffectiveBool(const rdf::Term& term) {
   if (auto n = TryNumeric(term)) return *n != 0.0;
   return !term.value().empty();
 }
-
-}  // namespace
 
 int CompareTermsSparql(const rdf::Term& a, const rdf::Term& b) {
   auto na = TryNumeric(a), nb = TryNumeric(b);
@@ -122,33 +132,14 @@ Result<rdf::Term> FilterExpr::Eval(const rdf::Binding& binding) const {
     case Kind::kCompare: {
       LAKEFED_ASSIGN_OR_RETURN(rdf::Term lhs, args_[0]->Eval(binding));
       LAKEFED_ASSIGN_OR_RETURN(rdf::Term rhs, args_[1]->Eval(binding));
-      int c = CompareTerms(lhs, rhs);
-      bool r = false;
-      switch (compare_op_) {
-        case CompareOp::kEq: r = c == 0; break;
-        case CompareOp::kNe: r = c != 0; break;
-        case CompareOp::kLt: r = c < 0; break;
-        case CompareOp::kLe: r = c <= 0; break;
-        case CompareOp::kGt: r = c > 0; break;
-        case CompareOp::kGe: r = c >= 0; break;
-      }
-      return BoolTerm(r);
+      return BoolTerm(CompareHolds(compare_op_, lhs, rhs));
     }
-    case Kind::kAnd: {
-      LAKEFED_ASSIGN_OR_RETURN(bool lhs, args_[0]->EvalBool(binding));
-      if (!lhs) return BoolTerm(false);
-      LAKEFED_ASSIGN_OR_RETURN(bool rhs, args_[1]->EvalBool(binding));
-      return BoolTerm(rhs);
-    }
-    case Kind::kOr: {
-      LAKEFED_ASSIGN_OR_RETURN(bool lhs, args_[0]->EvalBool(binding));
-      if (lhs) return BoolTerm(true);
-      LAKEFED_ASSIGN_OR_RETURN(bool rhs, args_[1]->EvalBool(binding));
-      return BoolTerm(rhs);
-    }
+    case Kind::kAnd:
+    case Kind::kOr:
     case Kind::kNot: {
-      LAKEFED_ASSIGN_OR_RETURN(bool v, args_[0]->EvalBool(binding));
-      return BoolTerm(!v);
+      // EvalBool evaluates the connectives without calling back into Eval.
+      LAKEFED_ASSIGN_OR_RETURN(bool v, EvalBool(binding));
+      return BoolTerm(v);
     }
     case Kind::kFunction:
       break;
@@ -207,7 +198,40 @@ Result<rdf::Term> FilterExpr::Eval(const rdf::Binding& binding) const {
   return Status::Internal("unhandled filter function");
 }
 
+const rdf::Term* FilterExpr::TermOperand(const rdf::Binding& binding) const {
+  if (kind_ == Kind::kLiteral) return &literal_;
+  if (kind_ != Kind::kVar) return nullptr;
+  auto it = binding.find(var_);
+  return it == binding.end() ? nullptr : &it->second;
+}
+
 Result<bool> FilterExpr::EvalBool(const rdf::Binding& binding) const {
+  switch (kind_) {
+    case Kind::kCompare: {
+      const rdf::Term* lhs = args_[0]->TermOperand(binding);
+      const rdf::Term* rhs = args_[1]->TermOperand(binding);
+      if (lhs != nullptr && rhs != nullptr) {
+        return CompareHolds(compare_op_, *lhs, *rhs);
+      }
+      break;  // other operand shapes, or an unbound variable's error
+    }
+    case Kind::kAnd: {
+      LAKEFED_ASSIGN_OR_RETURN(bool lhs, args_[0]->EvalBool(binding));
+      if (!lhs) return false;
+      return args_[1]->EvalBool(binding);
+    }
+    case Kind::kOr: {
+      LAKEFED_ASSIGN_OR_RETURN(bool lhs, args_[0]->EvalBool(binding));
+      if (lhs) return true;
+      return args_[1]->EvalBool(binding);
+    }
+    case Kind::kNot: {
+      LAKEFED_ASSIGN_OR_RETURN(bool v, args_[0]->EvalBool(binding));
+      return !v;
+    }
+    default:
+      break;
+  }
   LAKEFED_ASSIGN_OR_RETURN(rdf::Term v, Eval(binding));
   return EffectiveBool(v);
 }

@@ -48,7 +48,9 @@ class FilterExpr {
   // Unbound variables yield an error status (=> filter rejects).
   Result<rdf::Term> Eval(const rdf::Binding& binding) const;
 
-  // Effective boolean value of Eval.
+  // Effective boolean value of Eval: always EffectiveBool(Eval(binding)),
+  // status included. Comparisons of variables and literals and the
+  // connectives over them evaluate without building intermediate terms.
   Result<bool> EvalBool(const rdf::Binding& binding) const;
 
   // SPARQL-syntax rendering.
@@ -68,6 +70,10 @@ class FilterExpr {
  private:
   FilterExpr() = default;
 
+  // The term a kVar/kLiteral operand denotes, borrowed from the binding or
+  // the node; nullptr for other kinds and for an unbound variable.
+  const rdf::Term* TermOperand(const rdf::Binding& binding) const;
+
   Kind kind_ = Kind::kLiteral;
   CompareOp compare_op_ = CompareOp::kEq;
   Func func_ = Func::kBound;
@@ -86,6 +92,11 @@ bool IsSimpleVarFilter(const FilterExpr& expr, std::string* var);
 
 // Splits nested ANDs into conjuncts.
 std::vector<FilterExprPtr> SplitFilterConjuncts(const FilterExprPtr& expr);
+
+// SPARQL effective boolean value of a term: IRIs are true, xsd:boolean
+// literals by their lexical form, numerics when non-zero, other literals
+// when non-empty.
+bool EffectiveBool(const rdf::Term& term);
 
 // SPARQL value ordering used by comparisons and ORDER BY: numeric literals
 // compare numerically, everything else by lexical form. Returns <0, 0, >0.

@@ -397,60 +397,66 @@ Result<SqlWrapper::Translation> SqlWrapper::Translate(
   return tr;
 }
 
-Result<std::vector<rdf::Binding>> SqlWrapper::FetchAndDecode(
-    const Translation& tr) const {
-  LAKEFED_ASSIGN_OR_RETURN(rel::QueryResult result,
-                           db_->ExecuteStatement(tr.statement));
-  std::vector<rdf::Binding> rows;
-  rows.reserve(result.rows.size());
-  for (const rel::Row& row : result.rows) {
-    rdf::Binding binding;
-    binding.reserve(tr.variables.size() + tr.fixed.size());
-    bool valid = true;
-    // tr.variables is sorted, so every cell appends at the end.
-    for (size_t i = 0; i < tr.variables.size(); ++i) {
-      const rel::Value& value = row[i];
-      if (value.is_null()) {
-        valid = false;  // NULL cell = no triple = no solution
-        break;
-      }
-      const Translation::Decoder& d = tr.decoders[i];
-      binding.emplace_hint(binding.end(), tr.variables[i],
-                           d.is_subject
-                               ? mapping::SubjectFromValue(value, *d.cm)
-                               : mapping::TermFromValue(value, *d.pm));
-    }
-    if (!valid) continue;
-    for (const auto& [var, term] : tr.fixed) binding[var] = term;
-    rows.push_back(std::move(binding));
+namespace {
+
+// Decodes one result row of `tr.statement` into a solution mapping. False
+// when a cell is NULL: no triple, so no solution.
+bool DecodeRow(const SqlWrapper::Translation& tr, const rel::Row& row,
+               rdf::Binding* binding) {
+  binding->reserve(tr.variables.size() + tr.fixed.size());
+  // tr.variables is sorted, so every cell appends at the end.
+  for (size_t i = 0; i < tr.variables.size(); ++i) {
+    const rel::Value& value = row[i];
+    if (value.is_null()) return false;
+    const SqlWrapper::Translation::Decoder& d = tr.decoders[i];
+    binding->emplace_hint(binding->end(), tr.variables[i],
+                          d.is_subject
+                              ? mapping::SubjectFromValue(value, *d.cm)
+                              : mapping::TermFromValue(value, *d.pm));
   }
-  return rows;
+  for (const auto& [var, term] : tr.fixed) (*binding)[var] = term;
+  return true;
 }
 
-Status SqlWrapper::ShipRows(
-    std::vector<rdf::Binding> rows, const fed::SubQuery& subquery,
-    const std::vector<sparql::FilterExprPtr>& residual_filters,
-    const fed::WrapperContext& ctx) const {
-  // Instantiation membership is re-checked after decoding; this also
-  // covers fixed variables that had no SQL column.
-  fed::InstantiationFilter instantiations(subquery);
-  fed::BatchEmitter emitter(ctx);
-  for (rdf::Binding& binding : rows) {
-    if (ctx.token.IsCancelled()) break;
-    if (!instantiations.Allows(binding)) continue;
-    bool pass = true;
-    for (const sparql::FilterExprPtr& f : residual_filters) {
-      Result<bool> r = f->EvalBool(binding);
-      if (!r.ok() || !*r) {
-        pass = false;
-        break;
-      }
-    }
-    if (!pass) continue;
-    if (!emitter.Emit(std::move(binding))) break;
+// True when `binding` passes every filter; an evaluation error rejects.
+bool PassesFilters(const rdf::Binding& binding,
+                   const std::vector<sparql::FilterExprPtr>& filters) {
+  for (const sparql::FilterExprPtr& f : filters) {
+    Result<bool> r = f->EvalBool(binding);
+    if (!r.ok() || !*r) return false;
   }
-  return emitter.Finish();
+  return true;
 }
+
+// The tail every decoded answer passes through: instantiation membership
+// (re-checked after decoding; this also covers fixed variables that had no
+// SQL column), the residual filters, then the morsel emitter.
+class AnswerSink {
+ public:
+  AnswerSink(const fed::SubQuery& subquery,
+             const std::vector<sparql::FilterExprPtr>& residual_filters,
+             const fed::WrapperContext& ctx)
+      : instantiations_(subquery),
+        filters_(residual_filters),
+        emitter_(ctx) {}
+
+  // Ships `binding` if it passes. False when the producer must stop: the
+  // downstream is gone or the network faulted (see BatchEmitter::Emit).
+  bool Offer(rdf::Binding binding) {
+    if (!instantiations_.Allows(binding)) return true;
+    if (!PassesFilters(binding, filters_)) return true;
+    return emitter_.Emit(std::move(binding));
+  }
+
+  Status Finish() { return emitter_.Finish(); }
+
+ private:
+  fed::InstantiationFilter instantiations_;
+  const std::vector<sparql::FilterExprPtr>& filters_;
+  fed::BatchEmitter emitter_;
+};
+
+}  // namespace
 
 Status SqlWrapper::Execute(const fed::SubQuery& subquery,
                            const fed::WrapperContext& ctx) {
@@ -462,9 +468,25 @@ Status SqlWrapper::Execute(const fed::SubQuery& subquery,
     std::lock_guard<std::mutex> lock(mu_);
     last_sql_ = tr.statement.ToString();
   }
-  LAKEFED_ASSIGN_OR_RETURN(std::vector<rdf::Binding> rows,
-                           FetchAndDecode(tr));
-  return ShipRows(std::move(rows), subquery, tr.residual_filters, ctx);
+  AnswerSink sink(subquery, tr.residual_filters, ctx);
+  rel::ExecCounters counters;
+  Status scan = db_->Scan(
+      tr.statement,
+      [&](const rel::Row& row) {
+        if (ctx.token.IsCancelled()) return false;  // stop the plan
+        rdf::Binding binding;
+        if (!DecodeRow(tr, row, &binding)) return true;
+        // A dead downstream (cancel/close) or network fault stops the plan.
+        return sink.Offer(std::move(binding));
+      },
+      &counters);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    last_counters_ = counters;
+  }
+  Status fault = sink.Finish();
+  LAKEFED_RETURN_NOT_OK(scan);
+  return fault;
 }
 
 Status SqlWrapper::ExecuteNaiveMerged(const fed::SubQuery& subquery,
@@ -503,22 +525,19 @@ Status SqlWrapper::ExecuteNaiveMerged(const fed::SubQuery& subquery,
     }
     LAKEFED_ASSIGN_OR_RETURN(Translation tr, Translate(single));
     naive_sql += (naive_sql.empty() ? "" : " ;; ") + tr.statement.ToString();
-    LAKEFED_ASSIGN_OR_RETURN(std::vector<rdf::Binding> rows,
-                             FetchAndDecode(tr));
-    for (rdf::Binding& row : rows) {
-      bool pass = true;
-      for (const sparql::FilterExprPtr& f : tr.residual_filters) {
-        Result<bool> r = f->EvalBool(row);
-        if (!r.ok() || !*r) {
-          pass = false;
-          break;
-        }
-      }
-      if (!pass) row.clear();
-    }
-    rows.erase(std::remove_if(rows.begin(), rows.end(),
-                              [](const rdf::Binding& b) { return b.empty(); }),
-               rows.end());
+    std::vector<rdf::Binding> rows;
+    LAKEFED_RETURN_NOT_OK(db_->Scan(
+        tr.statement,
+        [&](const rel::Row& row) {
+          if (ctx.token.IsCancelled()) return false;
+          rdf::Binding binding;
+          if (DecodeRow(tr, row, &binding) &&
+              PassesFilters(binding, tr.residual_filters)) {
+            rows.push_back(std::move(binding));
+          }
+          return true;
+        },
+        nullptr));
     per_star.push_back(std::move(rows));
   }
   {
@@ -573,12 +592,21 @@ Status SqlWrapper::ExecuteNaiveMerged(const fed::SubQuery& subquery,
     }
     joined = std::move(next);
   }
-  return ShipRows(std::move(joined), subquery, residual_filters, ctx);
+  AnswerSink sink(subquery, residual_filters, ctx);
+  for (rdf::Binding& binding : joined) {
+    if (ctx.token.IsCancelled() || !sink.Offer(std::move(binding))) break;
+  }
+  return sink.Finish();
 }
 
 std::string SqlWrapper::last_sql() const {
   std::lock_guard<std::mutex> lock(mu_);
   return last_sql_;
+}
+
+rel::ExecCounters SqlWrapper::last_counters() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return last_counters_;
 }
 
 }  // namespace lakefed::wrapper

@@ -43,9 +43,11 @@ class SqlWrapper : public fed::SourceWrapper {
   Status CollectStatistics(const stats::AnalyzeOptions& options,
                            stats::SourceStats* out) const override;
 
-  // Executes the sub-query, shipping decoded rows in morsels through the
-  // context's channel and queue (the token is polled between rows, so a
-  // cancelled or expired session stops without draining). Honours
+  // Executes the sub-query as one pipeline: each row the relational plan
+  // produces is decoded, checked against instantiations and residual
+  // filters, and handed to the morsel emitter while the plan is still
+  // running. The token is polled between rows; cancellation or a dead
+  // downstream stops the plan without draining it. Honours
   // SubQuery::naive_translation for merged multi-star sub-queries: instead
   // of one SQL join, every star is fetched with its own SQL and joined by
   // a naive nested loop inside the wrapper — emulating the unoptimized
@@ -57,6 +59,9 @@ class SqlWrapper : public fed::SourceWrapper {
 
   // The SQL most recently sent to the endpoint.
   std::string last_sql() const;
+  // Execution counters of the most recent single-statement run (rows
+  // scanned stop short of the table when the scan was stopped early).
+  rel::ExecCounters last_counters() const;
 
   struct Translation {
     rel::SelectStatement statement;
@@ -85,19 +90,6 @@ class SqlWrapper : public fed::SourceWrapper {
  private:
   struct VarInfo;
 
-  // Runs the translated statement and decodes rows to solution mappings
-  // (rows with NULL cells are dropped; residual filters NOT yet applied).
-  Result<std::vector<rdf::Binding>> FetchAndDecode(
-      const Translation& tr) const;
-
-  // Applies instantiation membership and residual filters, then ships the
-  // surviving rows in morsels through the context's channel and queue.
-  // Stops early on cancellation.
-  Status ShipRows(std::vector<rdf::Binding> rows,
-                  const fed::SubQuery& subquery,
-                  const std::vector<sparql::FilterExprPtr>& residual_filters,
-                  const fed::WrapperContext& ctx) const;
-
   // The naive merged execution path (see Execute).
   Status ExecuteNaiveMerged(const fed::SubQuery& subquery,
                             const fed::WrapperContext& ctx);
@@ -107,6 +99,7 @@ class SqlWrapper : public fed::SourceWrapper {
   mapping::SourceMapping mapping_;
   mutable std::mutex mu_;
   std::string last_sql_;
+  rel::ExecCounters last_counters_;
 };
 
 }  // namespace lakefed::wrapper

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "rel/executor.h"
+#include "rel/sql_parser.h"
 #include "rel_test_util.h"
 
 namespace lakefed::rel {
@@ -182,6 +184,121 @@ TEST_F(ExecutorTest, IndexOnOffEquivalence) {
     std::sort(b.begin(), b.end());
     EXPECT_EQ(a, b) << sql;
   }
+}
+
+// Renders rows as "v1|v2|..." strings, in order.
+std::vector<std::string> Render(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  for (const Row& row : rows) {
+    std::string k;
+    for (const Value& v : row) k += v.ToString() + "|";
+    out.push_back(std::move(k));
+  }
+  return out;
+}
+
+// Opens `op` and copies out every row it lends.
+std::vector<Row> Drain(PhysOp* op) {
+  std::vector<Row> rows;
+  EXPECT_TRUE(op->Open().ok());
+  while (true) {
+    auto row = op->Next();
+    EXPECT_TRUE(row.ok()) << row.status();
+    if (!row.ok() || *row == nullptr) break;
+    rows.push_back(**row);
+  }
+  return rows;
+}
+
+// Operators that lend reused or stored rows, stacked on each other the way
+// the planner does not (yet) stack them: every borrowed row must still be
+// the right one when its consumer reads it. Each plan runs twice to check
+// that Open() resets the lent state.
+TEST_F(ExecutorTest, CursorRowsSurviveOperatorStacking) {
+  const Table* drug = db_->catalog().GetTable("drug");
+  const Table* interaction = db_->catalog().GetTable("interaction");
+
+  // IndexNLJoin whose outer is a Project (a reused output row).
+  PhysOpPtr project = std::make_unique<ProjectOp>(
+      std::make_unique<SeqScanOp>(drug, "d"),
+      std::vector<SelectItem>{{MakeColumn("d.id"), "did"},
+                              {MakeColumn("d.name"), "dname"}});
+  IndexNestedLoopJoinOp nl(std::move(project), interaction, "i", "did",
+                           "drug1", nullptr);
+  for (int run = 0; run < 2; ++run) {
+    std::vector<std::string> got = Render(Drain(&nl));
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, (std::vector<std::string>{
+                       "0|aspirin|0|0|1|low|",
+                       "0|aspirin|1|0|4|high|",
+                       "1|ibuprofen|2|1|4|high|",
+                       "2|codeine|3|2|3|medium|",
+                       "3|morphine|4|3|4|high|",
+                   }));
+  }
+
+  // HashJoin that builds from a Distinct (rows lent from its seen-set).
+  PhysOpPtr distinct_drug1 = std::make_unique<DistinctOp>(
+      std::make_unique<ProjectOp>(
+          std::make_unique<SeqScanOp>(interaction, "i"),
+          std::vector<SelectItem>{{MakeColumn("i.drug1"), "d1"}}));
+  HashJoinOp hash(std::move(distinct_drug1),
+                  std::make_unique<SeqScanOp>(drug, "d"), {"d1"}, {"d.id"});
+  for (int run = 0; run < 2; ++run) {
+    std::vector<std::string> got = Render(Drain(&hash));
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, (std::vector<std::string>{
+                       "0|0|aspirin|nsaid|100.000000|",
+                       "1|1|ibuprofen|nsaid|101.000000|",
+                       "2|2|codeine|opioid|102.000000|",
+                       "3|3|morphine|opioid|103.000000|",
+                   }));
+  }
+
+  // Limit over a Distinct: first-seen order, cut after two rows.
+  LimitOp limit(std::make_unique<DistinctOp>(std::make_unique<ProjectOp>(
+                    std::make_unique<SeqScanOp>(drug, "d"),
+                    std::vector<SelectItem>{{MakeColumn("d.category"), "c"}})),
+                2);
+  for (int run = 0; run < 2; ++run) {
+    EXPECT_EQ(Render(Drain(&limit)),
+              (std::vector<std::string>{"nsaid|", "opioid|"}));
+  }
+}
+
+// Scan streams rows through a visitor; returning false stops the plan, and
+// the counters show the scan stopped short of the table.
+TEST_F(ExecutorTest, ScanVisitorStopsPlanEarly) {
+  auto stmt = ParseSql("SELECT DISTINCT name FROM drug");
+  ASSERT_TRUE(stmt.ok()) << stmt.status();
+  std::vector<std::string> seen;
+  ExecCounters counters;
+  Status st = db_->Scan(
+      *stmt,
+      [&seen](const Row& row) {
+        seen.push_back(row[0].AsString());
+        return seen.size() < 2;
+      },
+      &counters);
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_EQ(seen, (std::vector<std::string>{"aspirin", "ibuprofen"}));
+  EXPECT_EQ(counters.rows_produced, 2u);
+  EXPECT_EQ(counters.rows_scanned, 2u);
+
+  // Run to the end, the visitor sees what ExecuteStatement materializes.
+  std::vector<Row> all;
+  ASSERT_TRUE(db_->Scan(
+                     *stmt,
+                     [&all](const Row& row) {
+                       all.push_back(row);
+                       return true;
+                     },
+                     nullptr)
+                  .ok());
+  auto materialized = db_->ExecuteStatement(*stmt);
+  ASSERT_TRUE(materialized.ok()) << materialized.status();
+  EXPECT_EQ(Render(all), Render(materialized->rows));
+  EXPECT_EQ(materialized->counters.rows_scanned, 5u);
 }
 
 }  // namespace

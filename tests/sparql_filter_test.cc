@@ -122,6 +122,80 @@ TEST(FilterExprTest, BadRegexIsError) {
   EXPECT_FALSE(bad->EvalBool(MakeBinding()).ok());
 }
 
+// EvalBool takes shortcuts (comparisons on borrowed terms, connectives on
+// plain booleans); over a table of filter shapes it must agree exactly with
+// the effective boolean value of Eval, error status included.
+TEST(FilterExprTest, EvalBoolMatchesEffectiveBoolOfEval) {
+  using Op = FilterExpr::CompareOp;
+  auto var = FilterExpr::Var;
+  auto lit = [](const char* lexical, const std::string& datatype = "") {
+    return FilterExpr::Literal(Term::Literal(lexical, datatype));
+  };
+  auto cmp = [](Op op, FilterExprPtr a, FilterExprPtr b) {
+    return FilterExpr::Compare(op, std::move(a), std::move(b));
+  };
+  auto fn = [](FilterExpr::Func f, std::vector<FilterExprPtr> args) {
+    return FilterExpr::Function(f, std::move(args));
+  };
+  auto truth = lit("true", "http://www.w3.org/2001/XMLSchema#boolean");
+  const std::vector<FilterExprPtr> filters = {
+      // Comparisons: numeric vs numeric, numeric vs string, strings, IRIs.
+      cmp(Op::kGt, var("w"), lit("100", rdf::kXsdInteger)),
+      cmp(Op::kEq, var("n"), lit("42.0", rdf::kXsdDouble)),
+      cmp(Op::kLt, var("n"), lit("abc")),
+      cmp(Op::kGe, lit("abc"), var("name")),
+      cmp(Op::kNe, var("name"), var("lang")),
+      cmp(Op::kLe, var("iri"), lit("http://ex/d1")),
+      cmp(Op::kEq, var("w"), var("w")),
+      // Unbound variables, on either side and nested.
+      cmp(Op::kEq, var("nope"), lit("1")),
+      cmp(Op::kEq, lit("1"), var("nope")),
+      FilterExpr::Not(cmp(Op::kEq, var("nope"), var("n"))),
+      var("nope"),
+      // Non-term operands fall back to Eval.
+      cmp(Op::kEq, fn(FilterExpr::Func::kStr, {var("iri")}),
+          lit("http://ex/d1")),
+      cmp(Op::kEq, cmp(Op::kLt, var("n"), var("w")), truth),
+      // Functions.
+      fn(FilterExpr::Func::kRegex, {var("name"), lit("^Homo")}),
+      fn(FilterExpr::Func::kRegex, {var("name"), lit("[unclosed")}),
+      fn(FilterExpr::Func::kRegex, {var("nope"), lit("x")}),
+      fn(FilterExpr::Func::kBound, {var("name")}),
+      fn(FilterExpr::Func::kBound, {var("nope")}),
+      fn(FilterExpr::Func::kBound, {lit("x")}),
+      fn(FilterExpr::Func::kStr, {var("lang")}),
+      fn(FilterExpr::Func::kContains, {var("name"), lit("sap")}),
+      // Bare terms: effective boolean values of literals and IRIs.
+      var("n"), var("iri"), lit(""), lit("0", rdf::kXsdInteger), truth,
+      // Nested connectives, with short circuits past errors.
+      FilterExpr::And(cmp(Op::kGt, var("n"), lit("1")),
+                      FilterExpr::Or(var("nope"), truth)),
+      FilterExpr::Or(cmp(Op::kGt, var("n"), lit("1")), var("nope")),
+      FilterExpr::And(cmp(Op::kLt, var("n"), lit("1")), var("nope")),
+      FilterExpr::And(truth, var("nope")),
+      FilterExpr::Or(lit(""), FilterExpr::Not(var("nope"))),
+      FilterExpr::Not(FilterExpr::And(
+          fn(FilterExpr::Func::kBound, {var("w")}),
+          FilterExpr::Or(cmp(Op::kEq, var("name"), lit("x")),
+                         fn(FilterExpr::Func::kStrEnds,
+                            {var("name"), lit("sapiens")})))),
+  };
+  const rdf::Binding binding = MakeBinding();
+  for (const FilterExprPtr& filter : filters) {
+    Result<bool> fast = filter->EvalBool(binding);
+    Result<Term> term = filter->Eval(binding);
+    ASSERT_EQ(fast.ok(), term.ok()) << filter->ToString();
+    if (!fast.ok()) {
+      EXPECT_EQ(fast.status().code(), term.status().code())
+          << filter->ToString();
+      EXPECT_EQ(fast.status().message(), term.status().message())
+          << filter->ToString();
+      continue;
+    }
+    EXPECT_EQ(*fast, EffectiveBool(*term)) << filter->ToString();
+  }
+}
+
 TEST(FilterExprTest, IsSimpleVarFilter) {
   std::string var;
   auto cmp = FilterExpr::Compare(

@@ -96,6 +96,51 @@ TEST_F(SqlWrapperTest, ExecutesSingleStar) {
   EXPECT_TRUE(rows[0].at("sym").is_literal());
 }
 
+// The leaf is one pipeline: when the downstream goes away after the first
+// morsel, the relational scan stops there instead of running to the end.
+TEST_F(SqlWrapperTest, ClosedDownstreamStopsScanEarly) {
+  const size_t table_rows = lake_->databases.at(lslod::kDiseasome)
+                                ->catalog()
+                                .GetTable("gene")
+                                ->num_rows();
+  ASSERT_GT(table_rows, 16u);
+  net::DelayChannel channel(net::NetworkProfile::NoDelay(), 1);
+  BlockingQueue<rdf::Binding> out(1 << 20);
+  // The consumer hangs up as soon as the first morsel lands.
+  out.AddReadableListener([&out] { out.Close(); });
+  fed::WrapperContext ctx;
+  ctx.channel = &channel;
+  ctx.out = &out;
+  ASSERT_TRUE(wrapper_->Execute(MakeSubQuery(kGeneStar), ctx).ok());
+  size_t delivered = 0;
+  while (out.Pop()) ++delivered;
+  EXPECT_EQ(delivered, 1u);  // the first morsel is one row
+  rel::ExecCounters counters = wrapper_->last_counters();
+  EXPECT_GE(counters.rows_scanned, 1u);
+  EXPECT_LT(counters.rows_scanned, table_rows);
+}
+
+TEST_F(SqlWrapperTest, CancelledTokenStopsScanEarly) {
+  const size_t table_rows = lake_->databases.at(lslod::kDiseasome)
+                                ->catalog()
+                                .GetTable("gene")
+                                ->num_rows();
+  ASSERT_GT(table_rows, 16u);
+  net::DelayChannel channel(net::NetworkProfile::NoDelay(), 1);
+  BlockingQueue<rdf::Binding> out(1 << 20);
+  CancellationToken token = CancellationToken::Cancellable();
+  out.AddReadableListener([token]() mutable { token.Cancel(); });
+  fed::WrapperContext ctx;
+  ctx.channel = &channel;
+  ctx.out = &out;
+  ctx.token = token;
+  ASSERT_TRUE(wrapper_->Execute(MakeSubQuery(kGeneStar), ctx).ok());
+  EXPECT_TRUE(token.IsCancelled());
+  rel::ExecCounters counters = wrapper_->last_counters();
+  EXPECT_GE(counters.rows_scanned, 1u);
+  EXPECT_LT(counters.rows_scanned, table_rows);
+}
+
 TEST_F(SqlWrapperTest, ConstantObjectBecomesWhere) {
   auto sq = MakeSubQuery(R"(PREFIX dsv: <http://lslod.example.org/diseasome/vocab#>
     SELECT * WHERE { ?g a dsv:Gene ; dsv:chromosome "chr7" ; dsv:geneSymbol ?sym . })");
