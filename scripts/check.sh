@@ -83,10 +83,17 @@ with open("build/bench/BENCH_paper_grid.json") as f:
 assert grid["bench"] == "paper_grid", grid.get("bench")
 assert len(grid["results"]) == 40, len(grid["results"])
 assert {"scale", "time_scale", "seed"} <= grid["config"].keys()
+# Plan mode and network change how a query runs, never what it answers:
+# each query's 8 cells (aware/unaware x 4 networks) must agree.
+answers = {}
+for cell in grid["results"]:
+    answers.setdefault(cell["query"], []).append(cell["answers"])
+for query, counts in answers.items():
+    assert len(counts) == 8 and len(set(counts)) == 1, (query, counts)
 with open("build/bench/BENCH_paper_grid_trace.json") as f:
     trace = json.load(f)
 assert trace["traceEvents"], "empty Chrome trace"
-print("paper-grid JSON ok: 40 cells, trace has",
+print("paper-grid JSON ok: 40 cells, answers agree per query, trace has",
       len(trace["traceEvents"]), "events")
 EOF
 

@@ -99,26 +99,31 @@ IndexScanOp::IndexScanOp(const Table* table, std::string alias,
 Status IndexScanOp::Open() {
   matches_.clear();
   pos_ = 0;
-  const BPlusTree* index = table_->IndexOn(condition_.column);
-  if (index == nullptr) {
+  next_value_ = 0;
+  lookups_ = 0;
+  rows_lent_ = 0;
+  index_ = table_->IndexOn(condition_.column);
+  if (index_ == nullptr) {
     return Status::Internal("IndexScan on unindexed column " +
                             table_->name() + "." + condition_.column);
   }
-  if (!condition_.equal_values.empty()) {
-    for (const Value& v : condition_.equal_values) {
-      ++lookups_;
-      std::vector<RowId> rows = index->Lookup(v);
-      matches_.insert(matches_.end(), rows.begin(), rows.end());
-    }
-  } else {
+  if (condition_.equal_values.empty()) {
     ++lookups_;
-    matches_ = index->Range(condition_.lo, condition_.hi);
+    matches_ = index_->Range(condition_.lo, condition_.hi);
   }
   return Status::OK();
 }
 
 Result<const Row*> IndexScanOp::Next() {
-  if (pos_ >= matches_.size()) return nullptr;
+  // Equality/IN: probe the next value only once the current one's matches
+  // are used up, so a plan stopped early pays only the lookups it needed.
+  while (pos_ >= matches_.size()) {
+    if (next_value_ >= condition_.equal_values.size()) return nullptr;
+    ++lookups_;
+    matches_ = index_->Lookup(condition_.equal_values[next_value_++]);
+    pos_ = 0;
+  }
+  ++rows_lent_;
   return &table_->row(matches_[pos_++]);
 }
 
@@ -128,7 +133,7 @@ std::string IndexScanOp::Describe() const {
 }
 
 void IndexScanOp::AccumulateCounters(ExecCounters* counters) const {
-  counters->rows_scanned += matches_.size();
+  counters->rows_scanned += rows_lent_;
   counters->index_lookups += lookups_;
 }
 

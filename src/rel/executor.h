@@ -86,8 +86,8 @@ class SeqScanOp : public PhysOp {
   size_t rows_read_ = 0;
 };
 
-// Index access: either an equality probe (possibly on several values, for IN)
-// or a range scan [lo, hi].
+// Index access: either an equality probe (possibly on several values, for IN,
+// probed one at a time as the scan reaches them) or a range scan [lo, hi].
 struct IndexCondition {
   std::string column;                   // indexed column (unqualified)
   std::vector<Value> equal_values;      // non-empty => equality/IN probe
@@ -107,9 +107,12 @@ class IndexScanOp : public PhysOp {
   const Table* table_;
   std::string alias_;
   IndexCondition condition_;
-  std::vector<RowId> matches_;
+  const BPlusTree* index_ = nullptr;
+  std::vector<RowId> matches_;  // the range, or the current IN value's rows
   size_t pos_ = 0;
+  size_t next_value_ = 0;  // next equal_values entry to probe
   size_t lookups_ = 0;
+  size_t rows_lent_ = 0;
 };
 
 // --- unary operators --------------------------------------------------------

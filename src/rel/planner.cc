@@ -272,6 +272,33 @@ double DistinctCount(const Table& table, const std::string& column) {
   return std::max<double>(table.column_stats(*idx).num_distinct, 1.0);
 }
 
+// True when no output row can repeat: every bound table has a NOT NULL
+// primary key that the output carries (SELECT *, or a bare column
+// reference among the qualified `items`). Table::Insert keeps such keys
+// unique and non-NULL under Value::Compare, the equality DistinctOp uses;
+// an inner join of rows with distinct keys yields distinct tuples and
+// filters only remove rows, so a DistinctOp would drop nothing.
+bool KeysProveDistinct(const std::vector<TableBinding>& bindings,
+                       bool select_all, const std::vector<SelectItem>& items) {
+  std::set<std::string> projected;
+  for (const SelectItem& item : items) {
+    if (item.expr->kind() == Expr::Kind::kColumnRef) {
+      const auto* ref = static_cast<const ColumnRefExpr*>(item.expr.get());
+      projected.insert(ref->name());
+    }
+  }
+  for (const TableBinding& b : bindings) {
+    const std::optional<std::string>& pk = b.table->primary_key();
+    if (!pk.has_value()) return false;
+    std::optional<size_t> col = b.table->schema().FindColumn(*pk);
+    if (!col.has_value() || b.table->schema().column(*col).nullable) {
+      return false;
+    }
+    if (!select_all && projected.count(b.alias + "." + *pk) == 0) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 Result<PhysOpPtr> PlanSelect(const SelectStatement& stmt,
@@ -545,6 +572,11 @@ Result<PhysOpPtr> PlanSelect(const SelectStatement& stmt,
     }
   }
 
+  // DISTINCT is planned only when the primary keys cannot prove it a no-op.
+  bool needs_distinct =
+      stmt.distinct &&
+      !KeysProveDistinct(bindings, stmt.select_all, project_items);
+
   if (!order_by.empty() && !sort_after_project) {
     plan = std::make_unique<SortOp>(std::move(plan), std::move(order_by));
   }
@@ -554,7 +586,7 @@ Result<PhysOpPtr> PlanSelect(const SelectStatement& stmt,
   }
 
   // 8. Distinct / Sort / Limit.
-  if (stmt.distinct) {
+  if (needs_distinct) {
     plan = std::make_unique<DistinctOp>(std::move(plan));
   }
   if (!order_by.empty() && sort_after_project) {

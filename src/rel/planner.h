@@ -6,7 +6,10 @@
 //  * join order: greedy smallest-estimated-cardinality-first over the join
 //    graph;
 //  * join algorithm: index nested-loop join when the inner table has an index
-//    on its join column, hash join otherwise.
+//    on its join column, hash join otherwise;
+//  * DISTINCT: no Distinct operator when every table's NOT NULL primary key
+//    is in the output (SELECT *, or a bare column reference), since those
+//    keys already make every row distinct.
 
 #ifndef LAKEFED_REL_PLANNER_H_
 #define LAKEFED_REL_PLANNER_H_

@@ -186,7 +186,9 @@ Result<SqlWrapper::Translation> SqlWrapper::Translate(
   }
   Translation tr;
   // The virtual RDF graph has set semantics: duplicate table rows map to
-  // the same triple, so the SQL must deduplicate.
+  // the same triple, so the SQL must deduplicate. (`rel` plans no Distinct
+  // when the projected primary keys already prove the rows distinct; see
+  // DESIGN.md, "Key-proven DISTINCT".)
   tr.statement.distinct = true;
   std::map<std::string, VarInfo> vars;
   std::vector<rel::ExprPtr> where;

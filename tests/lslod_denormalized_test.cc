@@ -7,6 +7,7 @@
 #include "fed_test_util.h"
 #include "lslod/queries.h"
 #include "lslod/vocab.h"
+#include "wrapper/sql_wrapper.h"
 
 namespace lakefed::lslod {
 namespace {
@@ -59,6 +60,34 @@ TEST(DenormalizedLakeTest, AnswersMatchNormalizedLake) {
     ASSERT_TRUE(a.ok()) << q.id << ": " << a.status();
     ASSERT_TRUE(b.ok()) << q.id << ": " << b.status();
     EXPECT_EQ(SerializeAnswers(*a), SerializeAnswers(*b)) << q.id;
+  }
+  // Q5's Diseasome leaf is the single-table disease star. Over the 3NF
+  // `disease` table its SQL projects the primary key, so `rel` plans no
+  // Distinct; over `disease_flat` (keyed by row_id, one row per disease and
+  // gene) the Distinct must stay and the answers must still be the oracle's.
+  const std::string& q5 = FindQuery("Q5")->sparql;
+  for (fed::PlanMode mode : {fed::PlanMode::kPhysicalDesignUnaware,
+                             fed::PlanMode::kPhysicalDesignAware}) {
+    options.mode = mode;
+    for (const DataLake* lake : {normalized.get(), denormalized.get()}) {
+      bool flat = lake == denormalized.get();
+      SCOPED_TRACE(std::string(flat ? "denormalized " : "normalized ") +
+                   fed::PlanModeToString(mode));
+      auto answer = lake->engine->Execute(q5, options);
+      ASSERT_TRUE(answer.ok()) << answer.status();
+      EXPECT_EQ(SerializeAnswers(*answer), OracleAnswers(*lake, q5));
+      const auto* wrapper = dynamic_cast<const wrapper::SqlWrapper*>(
+          lake->engine->wrapper(kDiseasome));
+      ASSERT_NE(wrapper, nullptr);
+      std::string sql = wrapper->last_sql();
+      EXPECT_NE(sql.find(flat ? "FROM disease_flat" : "FROM disease AS"),
+                std::string::npos)
+          << sql;
+      auto plan = lake->databases.at(kDiseasome)->Explain(sql);
+      ASSERT_TRUE(plan.ok()) << sql << "\n" << plan.status();
+      EXPECT_EQ(plan->find("Distinct") != std::string::npos, flat)
+          << sql << "\n" << *plan;
+    }
   }
 }
 

@@ -301,5 +301,39 @@ TEST_F(ExecutorTest, ScanVisitorStopsPlanEarly) {
   EXPECT_EQ(materialized->counters.rows_scanned, 5u);
 }
 
+// An IN-list index scan probes one value at a time: stopped after the first
+// row it has made one lookup and lent one row; run to the end, one lookup
+// and one row per value, in IN-list order.
+TEST_F(ExecutorTest, InListIndexScanProbesLazily) {
+  auto stmt = ParseSql("SELECT * FROM drug WHERE id IN (0, 1, 2, 3, 4)");
+  ASSERT_TRUE(stmt.ok()) << stmt.status();
+  ExecCounters first;
+  ASSERT_TRUE(db_->Scan(*stmt, [](const Row&) { return false; }, &first).ok());
+  EXPECT_EQ(first.rows_produced, 1u);
+  EXPECT_EQ(first.index_lookups, 1u);
+  EXPECT_EQ(first.rows_scanned, 1u);
+
+  std::vector<int64_t> ids;
+  ExecCounters all;
+  ASSERT_TRUE(db_->Scan(
+                     *stmt,
+                     [&ids](const Row& row) {
+                       ids.push_back(row[0].AsInt());
+                       return true;
+                     },
+                     &all)
+                  .ok());
+  EXPECT_EQ(ids, (std::vector<int64_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(all.rows_produced, 5u);
+  EXPECT_EQ(all.index_lookups, 5u);
+  EXPECT_EQ(all.rows_scanned, 5u);
+
+  // Values without matches cost a lookup each but lend no row.
+  QueryResult sparse = Run("SELECT id FROM drug WHERE id IN (9, 3, 8, 1)");
+  EXPECT_EQ(Render(sparse.rows), (std::vector<std::string>{"3|", "1|"}));
+  EXPECT_EQ(sparse.counters.index_lookups, 4u);
+  EXPECT_EQ(sparse.counters.rows_scanned, 2u);
+}
+
 }  // namespace
 }  // namespace lakefed::rel

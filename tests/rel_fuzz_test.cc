@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "rel/database.h"
@@ -137,6 +140,116 @@ TEST(RelFuzzTest, OptimizationsPreserveAnswers) {
     if (!fast->rows.empty()) ++non_empty;
   }
   EXPECT_GT(non_empty, 40);  // the generator is not vacuous
+}
+
+// A random SELECT DISTINCT over ta, tb or ta ⋈ tb, projecting a random
+// subset of the columns (each key half the time) or *. `*distinct_sql`
+// gets the statement, `*plain_sql` the same statement without DISTINCT and
+// LIMIT, `*limit` the LIMIT (or -1).
+void RandomDistinctQuery(Rng* rng, std::string* distinct_sql,
+                         std::string* plain_sql, int* limit) {
+  const std::vector<std::string> ta_cols = {"x.id", "x.k", "x.s", "x.d"};
+  const std::vector<std::string> tb_cols = {"y.id", "y.a_id", "y.tag"};
+  std::string from;
+  std::vector<std::string> cols;
+  switch (rng->UniformInt(0, 3)) {
+    case 0:
+      from = "ta x";
+      cols = ta_cols;
+      break;
+    case 1:
+      from = "tb y";
+      cols = tb_cols;
+      break;
+    case 2:
+      from = "ta x JOIN tb y ON x.id = y.a_id";
+      cols = ta_cols;
+      cols.insert(cols.end(), tb_cols.begin(), tb_cols.end());
+      break;
+    default:
+      from = "tb y JOIN ta x ON y.a_id = x.id";
+      cols = tb_cols;
+      cols.insert(cols.end(), ta_cols.begin(), ta_cols.end());
+      break;
+  }
+  std::string select;
+  if (rng->Bernoulli(0.15)) {
+    select = "*";
+  } else {
+    for (const std::string& col : cols) {
+      if (!rng->Bernoulli(0.5)) continue;
+      select += (select.empty() ? "" : ", ") + col;
+    }
+    if (select.empty()) {
+      int64_t last = static_cast<int64_t>(cols.size()) - 1;
+      select = cols[static_cast<size_t>(rng->UniformInt(0, last))];
+    }
+  }
+  bool has_ta = from.find("ta x") != std::string::npos;
+  bool has_tb = from.find("tb y") != std::string::npos;
+  std::string rest;
+  if (rng->Bernoulli(0.5)) {
+    rest += " WHERE ";
+    if (has_ta) {
+      rest += RandomPredicate(rng, "x", has_tb ? "y" : "x");
+    } else {
+      rest += "y.tag <= 't" + std::to_string(rng->UniformInt(0, 7)) + "'";
+    }
+  }
+  if (rng->Bernoulli(0.3)) {
+    rest += has_ta ? " ORDER BY x.k" : " ORDER BY y.tag";
+  }
+  *limit = rng->Bernoulli(0.2) ? 30 : -1;
+  *plain_sql = "SELECT " + select + " FROM " + from + rest;
+  *distinct_sql = "SELECT DISTINCT " + select + " FROM " + from + rest +
+                  (*limit >= 0 ? " LIMIT " + std::to_string(*limit) : "");
+}
+
+// Whether or not the planner proves DISTINCT a no-op from the primary keys,
+// a DISTINCT statement must return exactly a first-seen dedup of the same
+// statement without DISTINCT: same rows, same order.
+TEST(RelFuzzTest, DistinctMatchesFirstSeenDedup) {
+  Rng rng(0xd15c);
+  auto db = MakeFuzzDatabase(&rng);
+  ASSERT_NE(db, nullptr);
+  int elided = 0, kept = 0, deduplicated = 0;
+  for (int i = 0; i < 200; ++i) {
+    std::string distinct_sql, plain_sql;
+    int limit = -1;
+    RandomDistinctQuery(&rng, &distinct_sql, &plain_sql, &limit);
+    SCOPED_TRACE(distinct_sql);
+    for (bool optimized : {true, false}) {
+      db->options() = PlannerOptions{};
+      if (!optimized) {
+        db->options().enable_secondary_indexes = false;
+        db->options().enable_index_joins = false;
+        db->options().enable_index_scans = false;
+      }
+      auto distinct = db->Execute(distinct_sql);
+      ASSERT_TRUE(distinct.ok()) << distinct.status();
+      auto plain = db->Execute(plain_sql);
+      ASSERT_TRUE(plain.ok()) << plain.status();
+      std::vector<std::string> all = Canonical(*plain, /*ordered=*/true);
+      std::vector<std::string> expected;
+      std::set<std::string> seen;
+      for (const std::string& row : all) {
+        if (seen.insert(row).second) expected.push_back(row);
+      }
+      if (expected.size() < all.size()) ++deduplicated;
+      if (limit >= 0 && expected.size() > static_cast<size_t>(limit)) {
+        expected.resize(static_cast<size_t>(limit));
+      }
+      ASSERT_EQ(Canonical(*distinct, /*ordered=*/true), expected)
+          << (optimized ? "optimized" : "unoptimized");
+      auto plan = db->Explain(distinct_sql);
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      ++(plan->find("Distinct") == std::string::npos ? elided : kept);
+    }
+  }
+  // Both planner outcomes and real duplicates are exercised.
+  EXPECT_GT(elided, 40);
+  EXPECT_GT(kept, 40);
+  EXPECT_GT(deduplicated, 20);
 }
 
 TEST(RelFuzzTest, AggregatesPreservedAcrossOptimizations) {

@@ -113,6 +113,72 @@ TEST_F(PlannerTest, ProjectDistinctSortLimitStack) {
   EXPECT_LT(distinct, project);
 }
 
+// A NOT NULL primary key in the output makes every row distinct: no
+// Distinct operator is planned.
+TEST_F(PlannerTest, ProjectedPrimaryKeyElidesDistinct) {
+  for (const char* sql : {"SELECT DISTINCT id, name FROM drug",
+                          "SELECT DISTINCT * FROM drug",
+                          "SELECT DISTINCT d.name, i.id, d.id FROM drug d "
+                          "JOIN interaction i ON d.id = i.drug1"}) {
+    std::string plan = Plan(sql);
+    EXPECT_FALSE(Contains(plan, "Distinct")) << sql << "\n" << plan;
+  }
+  // The rows are the ones DISTINCT would have kept: one per drug.
+  auto rows = db_->Execute("SELECT DISTINCT id, name FROM drug");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(rows->rows.size(), 5u);
+}
+
+TEST_F(PlannerTest, DistinctStaysWithoutProjectedKey) {
+  for (const char* sql : {"SELECT DISTINCT name FROM drug",
+                          // drug's key is projected, interaction's is not
+                          "SELECT DISTINCT d.id, i.severity FROM drug d "
+                          "JOIN interaction i ON d.id = i.drug1",
+                          // an expression over the key is not the key
+                          "SELECT DISTINCT id + 0 AS k FROM drug"}) {
+    std::string plan = Plan(sql);
+    EXPECT_TRUE(Contains(plan, "Distinct")) << sql << "\n" << plan;
+  }
+}
+
+// A nullable primary-key column proves nothing: NULL keys are not indexed,
+// so two rows may share a NULL key and be otherwise equal.
+TEST_F(PlannerTest, NullableKeyKeepsDistinct) {
+  auto table = db_->catalog().CreateTable(
+      "nk",
+      Schema({{"id", ColumnType::kInt64, true},
+              {"v", ColumnType::kString, true}}),
+      "id");
+  ASSERT_TRUE(table.ok()) << table.status();
+  ASSERT_TRUE((*table)->Insert({Value::Null(), Value("same")}).ok());
+  ASSERT_TRUE((*table)->Insert({Value::Null(), Value("same")}).ok());
+  ASSERT_TRUE((*table)->Insert({Value(int64_t{1}), Value("same")}).ok());
+  for (const char* sql :
+       {"SELECT DISTINCT id, v FROM nk", "SELECT DISTINCT * FROM nk"}) {
+    std::string plan = Plan(sql);
+    EXPECT_TRUE(Contains(plan, "Distinct")) << sql << "\n" << plan;
+    auto rows = db_->Execute(sql);
+    ASSERT_TRUE(rows.ok()) << rows.status();
+    EXPECT_EQ(rows->rows.size(), 2u) << sql;
+  }
+}
+
+TEST_F(PlannerTest, TableWithoutPrimaryKeyKeepsDistinct) {
+  auto table = db_->catalog().CreateTable(
+      "heap",
+      Schema({{"id", ColumnType::kInt64, false},
+              {"v", ColumnType::kString, true}}),
+      std::nullopt);
+  ASSERT_TRUE(table.ok()) << table.status();
+  ASSERT_TRUE((*table)->Insert({Value(int64_t{1}), Value("x")}).ok());
+  ASSERT_TRUE((*table)->Insert({Value(int64_t{1}), Value("x")}).ok());
+  std::string plan = Plan("SELECT DISTINCT * FROM heap");
+  EXPECT_TRUE(Contains(plan, "Distinct")) << plan;
+  auto rows = db_->Execute("SELECT DISTINCT id, v FROM heap");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(rows->rows.size(), 1u);
+}
+
 TEST_F(PlannerTest, IndexScansDisabled) {
   db_->options().enable_index_scans = false;
   std::string plan = Plan("SELECT * FROM drug WHERE id = 3");
