@@ -117,9 +117,9 @@ SELECT ?pname ?price ?stars WHERE {
   }
   std::printf("\n-- reviews of expensive products --\n");
   for (const rdf::Binding& row : answer->rows) {
-    std::printf("  %-8s $%-7s %s stars\n", row.at("pname").value().c_str(),
-                row.at("price").value().c_str(),
-                row.at("stars").value().c_str());
+    std::printf("  %-8s $%-7s %s stars\n", std::string(row.at("pname").value()).c_str(),
+                std::string(row.at("price").value()).c_str(),
+                std::string(row.at("stars").value()).c_str());
   }
   return 0;
 }

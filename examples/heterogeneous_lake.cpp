@@ -73,8 +73,8 @@ SELECT ?cname ?dname WHERE {
   std::printf("\n-- answers (%zu) --\n", answer->rows.size());
   for (const rdf::Binding& row : answer->rows) {
     std::printf("  compound %-22s targets the same gene as drug %s\n",
-                row.at("cname").value().c_str(),
-                row.at("dname").value().c_str());
+                std::string(row.at("cname").value()).c_str(),
+                std::string(row.at("dname").value()).c_str());
   }
   return 0;
 }

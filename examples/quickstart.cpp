@@ -69,8 +69,8 @@ SELECT ?name ?effect WHERE {
     for (rdf::Binding& row : batch) {
       std::printf("  [%5.3fs] %s -> %s\n",
                   (*stream)->trace().timestamps[rows++],
-                  row.at("name").value().c_str(),
-                  row.at("effect").value().c_str());
+                  std::string(row.at("name").value()).c_str(),
+                  std::string(row.at("effect").value()).c_str());
     }
   }
   Status status = (*stream)->Finish();

@@ -10,7 +10,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -19,6 +18,7 @@
 #include "common/stopwatch.h"
 #include "fed/breaker.h"
 #include "fed/cache.h"
+#include "fed/join_index.h"
 #include "fed/latency.h"
 #include "fed/subquery.h"
 #include "obs/metrics.h"
@@ -41,33 +41,17 @@ constexpr size_t kQueueCapacity = 4096;
 constexpr size_t kUnbounded = static_cast<size_t>(1) << 30;
 constexpr size_t kDependentJoinBatch = 64;
 
-// Writes the join key of `row` over `vars` into `*key` (the terms'
-// rdf::AppendTermKey encodings, so equal keys mean equal terms); false if
-// a join variable is unbound. Empty vars = single bucket (cross product).
-bool JoinKey(const rdf::Binding& row, const std::vector<std::string>& vars,
-             std::string* key) {
-  key->clear();
-  for (const std::string& v : vars) {
-    auto it = row.find(v);
-    if (it == row.end()) return false;
-    rdf::AppendTermKey(it->second, key);
-  }
-  return true;
-}
-
 // The distinct terms `var` binds over `rows`, in first-seen order: the
 // instantiation list of a dependent-join probe.
 std::vector<rdf::Term> DistinctTerms(const std::vector<rdf::Binding>& rows,
                                      const std::string& var) {
   std::vector<rdf::Term> terms;
-  std::unordered_set<std::string> seen;
-  std::string key;
+  std::unordered_set<rdf::Term, rdf::TermHash> seen;
   for (const rdf::Binding& row : rows) {
     auto it = row.find(var);
-    if (it == row.end()) continue;
-    key.clear();
-    rdf::AppendTermKey(it->second, &key);
-    if (seen.insert(key).second) terms.push_back(it->second);
+    if (it != row.end() && seen.insert(it->second).second) {
+      terms.push_back(it->second);
+    }
   }
   return terms;
 }
@@ -169,12 +153,6 @@ class OpRuntimeRec : public QueueWaitObserver {
 // probes, which sleep on the simulated network, run as one-shot jobs on
 // the scheduler's auxiliary I/O pool.
 
-// Tag-merged join input (side 0 = left, 1 = right).
-struct TaggedRow {
-  int side;
-  rdf::Binding row;
-};
-
 // Counts an execution's outstanding tasks and I/O jobs so Finish() can
 // wait for all of them.
 class TaskGroup {
@@ -204,7 +182,6 @@ class TaskGroup {
 // Position-based (TryPushBatch) so a partially shipped buffer costs no
 // erases. Operators flush after every consumed input morsel, so batching
 // never withholds rows that are ready.
-template <typename T>
 class TaskWriter {
  public:
   enum class State {
@@ -213,12 +190,12 @@ class TaskWriter {
     kClosed,  // downstream gone — the producer must stop
   };
 
-  TaskWriter(BlockingQueue<T>* out, size_t batch_size)
+  TaskWriter(RowQueue* out, size_t batch_size)
       : out_(out), cap_(std::max<size_t>(1, batch_size)) {}
 
   // Appends one output row, shipping eagerly at morsel granularity. Rows
   // added after the downstream closed are dropped.
-  void Add(T row) {
+  void Add(rdf::Binding row) {
     if (closed_) return;
     buffer_.push_back(std::move(row));
     if (buffer_.size() - pos_ >= cap_) TryFlush();
@@ -248,9 +225,9 @@ class TaskWriter {
     pos_ = 0;
   }
 
-  BlockingQueue<T>* out_;
+  RowQueue* out_;
   const size_t cap_;
-  std::vector<T> buffer_;
+  std::vector<rdf::Binding> buffer_;
   size_t pos_ = 0;    // buffer elements [0, pos_) are already in the queue
   bool closed_ = false;
 };
@@ -270,7 +247,6 @@ enum class BlockOn { kNone, kInput, kOutput, kIo };
 // counts itself in the execution's TaskGroup, and reports block durations
 // to the waited-on queue's observer, so EXPLAIN ANALYZE attributes a
 // task's parks like the blocking queue attributes its waits.
-template <typename Out>
 class OpTask : public svc::Task {
  public:
   // Runs exactly once at completion: close inputs/outputs, decrement arm
@@ -279,8 +255,7 @@ class OpTask : public svc::Task {
 
   OpTask(std::shared_ptr<TaskGroup> group,
          std::shared_ptr<OpRuntimeRec> wall_rec, obs::Span span,
-         std::shared_ptr<BlockingQueue<Out>> out, size_t batch,
-         CancellationToken token, DoneFn done)
+         RowQueuePtr out, size_t batch, CancellationToken token, DoneFn done)
       : writer_(out.get(), batch),
         batch_(batch),
         token_(std::move(token)),
@@ -310,11 +285,13 @@ class OpTask : public svc::Task {
   // Parks the task. `obs` is the waited-on queue's observer (null = no
   // metrics, or an I/O wait): it receives the park->resume duration on the
   // next Step, including waits ended by close/cancel — the same accounting
-  // the blocking queue applies to its terminal waits.
-  svc::TaskResult Block(BlockOn on, QueueWaitObserver* obs) {
+  // the blocking queue applies to its terminal waits. A task waiting on two
+  // inputs at once names the second one's observer in `also`.
+  svc::TaskResult Block(BlockOn on, QueueWaitObserver* obs,
+                        QueueWaitObserver* also = nullptr) {
     blocked_on_ = on;
-    block_obs_ = obs;
-    if (obs != nullptr) block_watch_.Restart();
+    block_obs_ = {obs, also};
+    if (obs != nullptr || also != nullptr) block_watch_.Restart();
     return svc::TaskResult::kBlocked;
   }
 
@@ -324,10 +301,10 @@ class OpTask : public svc::Task {
   // when the step may continue.
   std::optional<svc::TaskResult> Ship() {
     switch (writer_.TryFlush()) {
-      case TaskWriter<Out>::State::kClosed: return Complete();
-      case TaskWriter<Out>::State::kFull:
+      case TaskWriter::State::kClosed: return Complete();
+      case TaskWriter::State::kFull:
         return Block(BlockOn::kOutput, out_->wait_observer());
-      case TaskWriter<Out>::State::kOk: break;
+      case TaskWriter::State::kOk: break;
     }
     if (draining_) return Complete();
     return std::nullopt;
@@ -348,149 +325,133 @@ class OpTask : public svc::Task {
     return svc::TaskResult::kDone;
   }
 
-  TaskWriter<Out> writer_;
+  TaskWriter writer_;
   const size_t batch_;  // input morsel size
   CancellationToken token_;
 
  private:
   void AttributeBlock() {
-    if (block_obs_ != nullptr) {
+    for (QueueWaitObserver* obs : block_obs_) {
+      if (obs == nullptr) continue;
       const double ms = block_watch_.ElapsedMillis();
       if (blocked_on_ == BlockOn::kInput) {
-        block_obs_->OnPopWait(ms);
+        obs->OnPopWait(ms);
       } else if (blocked_on_ == BlockOn::kOutput) {
-        block_obs_->OnPushWait(ms);
+        obs->OnPushWait(ms);
       }
     }
     blocked_on_ = BlockOn::kNone;
-    block_obs_ = nullptr;
+    block_obs_ = {};
   }
 
   std::shared_ptr<TaskGroup> group_;
   std::shared_ptr<OpRuntimeRec> wall_rec_;
   obs::Span span_;
-  std::shared_ptr<BlockingQueue<Out>> out_;
+  RowQueuePtr out_;
   DoneFn done_;
   Stopwatch wall_;
   Stopwatch block_watch_;
   BlockOn blocked_on_ = BlockOn::kNone;
-  QueueWaitObserver* block_obs_ = nullptr;
+  std::array<QueueWaitObserver*, 2> block_obs_ = {};
   bool draining_ = false;  // input done; only the writer remainder is left
   bool completed_ = false;
 };
 
 // Generic streaming operator task: pop a morsel, fold it into the output
 // writer, repeat. Covers every one-input operator (filter, project,
-// distinct, limit, order-by, union arms, the join's forward legs and the
-// join itself) through two hooks.
-template <typename In, typename Out>
-class RelayTask final : public OpTask<Out> {
+// distinct, limit, order-by, aggregate, union arms) through two hooks.
+class RelayTask final : public OpTask {
  public:
-  using Base = OpTask<Out>;
-  using Writer = TaskWriter<Out>;
   // Folds one popped input morsel into the writer. Returning false stops
   // consuming input early (LIMIT satisfied) — treated like exhaustion.
-  using ProcessFn = std::function<bool(std::vector<In>&&, Writer*)>;
+  using ProcessFn =
+      std::function<bool(std::vector<rdf::Binding>&&, TaskWriter*)>;
   // Runs once when the input is exhausted, before the final flush
   // (ORDER BY emits its sorted buffer here). May be null.
-  using FinalizeFn = std::function<void(Writer*)>;
+  using FinalizeFn = std::function<void(TaskWriter*)>;
 
   RelayTask(std::shared_ptr<TaskGroup> group,
             std::shared_ptr<OpRuntimeRec> wall_rec, obs::Span span,
-            std::shared_ptr<BlockingQueue<In>> in,
-            std::shared_ptr<BlockingQueue<Out>> out, size_t batch,
+            RowQueuePtr in, RowQueuePtr out, size_t batch,
             CancellationToken token, ProcessFn process, FinalizeFn finalize,
-            typename Base::DoneFn done)
-      : Base(std::move(group), std::move(wall_rec), std::move(span),
-             std::move(out), batch, std::move(token), std::move(done)),
+            DoneFn done)
+      : OpTask(std::move(group), std::move(wall_rec), std::move(span),
+               std::move(out), batch, std::move(token), std::move(done)),
         in_(std::move(in)),
         process_(std::move(process)),
         finalize_(std::move(finalize)) {}
 
  protected:
   svc::TaskResult RunStep() override {
-    if (auto r = this->Ship()) return *r;
+    if (auto r = Ship()) return *r;
     for (int slice = 0; slice < kTaskSlicesPerStep; ++slice) {
       // A cancelled pop must not drain residual rows — mirror the
       // token-aware PopBatch, which returns 0 the moment the token fires.
-      if (this->token_.IsCancelled()) return this->Complete();
+      if (token_.IsCancelled()) return Complete();
       bool exhausted = false;
-      if (in_->TryPopBatch(&in_batch_, this->batch_, &exhausted) == 0) {
+      if (in_->TryPopBatch(&in_batch_, batch_, &exhausted) == 0) {
         if (!exhausted) {
-          return this->Block(BlockOn::kInput, in_->wait_observer());
+          return Block(BlockOn::kInput, in_->wait_observer());
         }
         return Finalize();
       }
-      if (!process_(std::move(in_batch_), &this->writer_)) return Finalize();
-      if (auto r = this->Ship()) return *r;
+      if (!process_(std::move(in_batch_), &writer_)) return Finalize();
+      if (auto r = Ship()) return *r;
     }
     return svc::TaskResult::kYield;
   }
 
  private:
   svc::TaskResult Finalize() {
-    if (finalize_ != nullptr) finalize_(&this->writer_);
-    return this->Drain();
+    if (finalize_ != nullptr) finalize_(&writer_);
+    return Drain();
   }
 
-  std::shared_ptr<BlockingQueue<In>> in_;
+  RowQueuePtr in_;
   ProcessFn process_;
   FinalizeFn finalize_;
-  std::vector<In> in_batch_;
+  std::vector<rdf::Binding> in_batch_;
 };
 
-// OPTIONAL: the right (optional) side must complete before unmatched left
-// rows can be emitted, so phase one materializes it into a hash table and
-// phase two streams the left side through it. Readable events from either
-// input wake the task; the phase decides which queue it reads.
-class LeftJoinTask final : public OpTask<rdf::Binding> {
+// Hash join of two inputs, inner or left-outer (OPTIONAL), one join index
+// per side. The inner join is symmetric (the adaptive part of agjoin): it
+// reads whichever input has rows, stores each row in its side's index and
+// probes the other side's. Once one input is exhausted, the other side's
+// stored rows can meet no new partner: they are freed, and that side's
+// later rows only probe. The left-outer join can only call a left row
+// unmatched once it has seen the whole right side, so it reads the right
+// input to the end first; its left rows then only probe, and a left row
+// without a partner is emitted alone. Readable events from either input
+// wake the task.
+class JoinTask final : public OpTask {
  public:
-  LeftJoinTask(std::shared_ptr<TaskGroup> group,
-               std::shared_ptr<OpRuntimeRec> wall_rec, obs::Span span,
-               RowQueuePtr left, RowQueuePtr right, RowQueuePtr out,
-               size_t batch, CancellationToken token,
-               std::vector<std::string> join_vars, DoneFn done)
+  JoinTask(std::shared_ptr<TaskGroup> group,
+           std::shared_ptr<OpRuntimeRec> wall_rec, obs::Span span,
+           RowQueuePtr left, RowQueuePtr right, RowQueuePtr out, size_t batch,
+           CancellationToken token, std::vector<std::string> join_vars,
+           bool left_outer, DoneFn done)
       : OpTask(std::move(group), std::move(wall_rec), std::move(span),
                std::move(out), batch, std::move(token), std::move(done)),
-        left_(std::move(left)),
-        right_(std::move(right)),
-        join_vars_(std::move(join_vars)) {}
+        join_vars_(std::move(join_vars)),
+        sides_{Side{std::move(left), JoinIndex(&join_vars_)},
+               Side{std::move(right), JoinIndex(&join_vars_)}},
+        left_outer_(left_outer) {}
 
  protected:
   svc::TaskResult RunStep() override {
     if (auto r = Ship()) return *r;
     for (int slice = 0; slice < kTaskSlicesPerStep; ++slice) {
       if (token_.IsCancelled()) return Complete();
-      bool exhausted = false;
-      if (building_) {
-        if (right_->TryPopBatch(&in_batch_, batch_, &exhausted) == 0) {
-          if (!exhausted) {
-            return Block(BlockOn::kInput, right_->wait_observer());
-          }
-          building_ = false;
-          continue;
-        }
-        for (rdf::Binding& row : in_batch_) {
-          if (!JoinKey(row, join_vars_, &key_)) continue;
-          table_[key_].push_back(std::move(row));
-        }
-        continue;
+      // Alternate the sides so a fast input cannot starve a slow one.
+      bool progressed = false;
+      for (int attempt = 0; attempt < 2 && !progressed; ++attempt) {
+        const int side = next_side_;
+        next_side_ = 1 - side;
+        progressed = Consume(side);
       }
-      if (left_->TryPopBatch(&in_batch_, batch_, &exhausted) == 0) {
-        if (!exhausted) return Block(BlockOn::kInput, left_->wait_observer());
-        return Drain();
-      }
-      for (rdf::Binding& row : in_batch_) {
-        auto it = JoinKey(row, join_vars_, &key_) ? table_.find(key_)
-                                                  : table_.end();
-        if (it == table_.end() || it->second.empty()) {
-          // No extension: keep the left row (left-outer semantics).
-          writer_.Add(std::move(row));
-          continue;
-        }
-        for (const rdf::Binding& extension : it->second) {
-          writer_.Add(MergeBindings(row, extension));
-        }
+      if (sides_[0].exhausted && sides_[1].exhausted) return Drain();
+      if (!progressed) {
+        return Block(BlockOn::kInput, WaitObserver(0), WaitObserver(1));
       }
       if (auto r = Ship()) return *r;
     }
@@ -498,13 +459,61 @@ class LeftJoinTask final : public OpTask<rdf::Binding> {
   }
 
  private:
-  RowQueuePtr left_;
-  RowQueuePtr right_;
+  struct Side {
+    RowQueuePtr queue;
+    JoinIndex index;
+    bool exhausted = false;
+  };
+
+  bool Readable(int side) const {
+    if (sides_[side].exhausted) return false;
+    return !(left_outer_ && side == 0 && !sides_[1].exhausted);
+  }
+
+  // Pops and joins one morsel of `side`. False if the side is not
+  // readable or has nothing queued; true on rows or on its exhaustion,
+  // which may make the other side readable (its readable event may have
+  // fired while it was not, so the step must not park on it).
+  bool Consume(int side) {
+    if (!Readable(side)) return false;
+    Side& own = sides_[side];
+    Side& other = sides_[1 - side];
+    bool exhausted = false;
+    if (own.queue->TryPopBatch(&in_batch_, batch_, &exhausted) == 0) {
+      if (!exhausted) return false;
+      own.exhausted = true;
+      other.index.Clear();
+      return true;
+    }
+    const bool keep_unmatched = left_outer_ && side == 0;
+    for (rdf::Binding& row : in_batch_) {
+      std::optional<size_t> hash = own.index.HashOf(row);
+      bool matched = false;
+      if (hash.has_value()) {
+        // Rows are stored only while the other side can still deliver a
+        // partner; the reference stays valid while the other index probes.
+        const rdf::Binding& probe =
+            other.exhausted ? row : own.index.Insert(*hash, std::move(row));
+        other.index.ForEachMatch(probe, *hash, [&](const rdf::Binding& match) {
+          writer_.Add(side == 0 ? MergeBindings(probe, match)
+                                : MergeBindings(match, probe));
+          matched = true;
+        });
+      }
+      if (keep_unmatched && !matched) writer_.Add(std::move(row));
+    }
+    return true;
+  }
+
+  QueueWaitObserver* WaitObserver(int side) const {
+    return Readable(side) ? sides_[side].queue->wait_observer() : nullptr;
+  }
+
   const std::vector<std::string> join_vars_;
-  std::unordered_map<std::string, std::vector<rdf::Binding>> table_;
-  std::string key_;  // JoinKey scratch, reused across rows
+  std::array<Side, 2> sides_;  // 0 = left, 1 = right
+  const bool left_outer_;
   std::vector<rdf::Binding> in_batch_;
-  bool building_ = true;  // phase one: materializing the right side
+  int next_side_ = 0;
 };
 
 // Result cell of one dependent-join probe round trip, filled by an I/O-pool
@@ -530,7 +539,7 @@ struct ProbeResult {
 // rows, while long probes amortize the per-call cost (SQL translation +
 // inner scan) over up to batch_size instantiations. Windowing only
 // partitions the probe rows, so the join's binding multiset is unchanged.
-class DependentJoinTask final : public OpTask<rdf::Binding> {
+class DependentJoinTask final : public OpTask {
  public:
   using ProbeFn =
       std::function<void(SubQuery, std::shared_ptr<ProbeResult>)>;
@@ -609,19 +618,16 @@ class DependentJoinTask final : public OpTask<rdf::Binding> {
   }
 
   void JoinProbe() {
-    std::unordered_map<std::string, std::vector<rdf::Binding>> right;
-    std::string key;
+    JoinIndex right(&join_vars_);
     for (rdf::Binding& row : result_->rows) {
-      if (!JoinKey(row, join_vars_, &key)) continue;
-      right[key].push_back(std::move(row));
+      if (auto hash = right.HashOf(row)) right.Insert(*hash, std::move(row));
     }
     for (const rdf::Binding& lrow : probe_) {
-      if (!JoinKey(lrow, join_vars_, &key)) continue;
-      auto it = right.find(key);
-      if (it == right.end()) continue;
-      for (const rdf::Binding& rrow : it->second) {
+      auto hash = right.HashOf(lrow);
+      if (!hash.has_value()) continue;
+      right.ForEachMatch(lrow, *hash, [&](const rdf::Binding& rrow) {
         writer_.Add(MergeBindings(lrow, rrow));
-      }
+      });
     }
     probe_.clear();
     window_ = std::min(window_ * 2, max_window_);
@@ -1615,8 +1621,8 @@ class PlanExecution::Impl {
   RowQueuePtr StartNode(const FedPlanNode& node) {
     switch (node.kind) {
       case FedPlanNode::Kind::kService: return StartService(node);
-      case FedPlanNode::Kind::kJoin: return StartJoin(node);
-      case FedPlanNode::Kind::kLeftJoin: return StartLeftJoin(node);
+      case FedPlanNode::Kind::kJoin: return StartJoin(node, false);
+      case FedPlanNode::Kind::kLeftJoin: return StartJoin(node, true);
       case FedPlanNode::Kind::kDependentJoin: return StartDependentJoin(node);
       case FedPlanNode::Kind::kUnion: return StartUnion(node);
       case FedPlanNode::Kind::kFilter: return StartFilter(node);
@@ -1666,90 +1672,17 @@ class PlanExecution::Impl {
     return out;
   }
 
-  RowQueuePtr StartJoin(const FedPlanNode& node) {
+  // An inner (symmetric hash) join, or the left-outer join of OPTIONAL.
+  RowQueuePtr StartJoin(const FedPlanNode& node, bool left_outer) {
     RowQueuePtr left = StartNode(*node.children[0]);
     RowQueuePtr right = StartNode(*node.children[1]);
     NodeQueue nq = MakeOutQueue(node);
     RowQueuePtr out = nq.queue;
-    std::shared_ptr<OpRuntimeRec> rec = nq.runtime;
-    // Tag-merge both inputs into one queue so the join reacts to whichever
-    // side delivers next (the adaptive part of agjoin).
-    auto merged = std::make_shared<BlockingQueue<TaggedRow>>(kQueueCapacity);
-    RegisterQueue(merged);
-    auto active = std::make_shared<std::atomic<int>>(2);
-    CancellationToken token = token_;
-    const size_t batch = batch_;
-    for (int side = 0; side < 2; ++side) {
-      RowQueuePtr in = side == 0 ? left : right;
-      auto forward = std::make_unique<RelayTask<rdf::Binding, TaggedRow>>(
-          task_group_, nullptr, obs::Span(), in, merged, batch, token,
-          [side](std::vector<rdf::Binding>&& rows,
-                 TaskWriter<TaggedRow>* w) {
-            for (rdf::Binding& row : rows) {
-              w->Add(TaggedRow{side, std::move(row)});
-            }
-            return true;
-          },
-          nullptr,
-          [in, merged, active] {
-            in->Close();
-            if (active->fetch_sub(1) == 1) merged->Close();
-          });
-      svc::Scheduler::TaskRef ref = AddTask(std::move(forward));
-      WakeOnReadable(in, ref);
-      WakeOnWritable(merged, ref);
-    }
-    std::vector<std::string> join_vars = node.join_vars;
-    // The symmetric hash tables live inside the (mutable) process closure:
-    // Step() is never re-entered, so they need no synchronization.
-    auto join_process =
-        [join_vars,
-         table = std::array<
-             std::unordered_map<std::string, std::vector<rdf::Binding>>, 2>{},
-         key = std::string()](std::vector<TaggedRow>&& in_batch,
-                              TaskWriter<rdf::Binding>* w) mutable {
-          for (TaggedRow& item : in_batch) {
-            const int side = item.side;
-            if (!JoinKey(item.row, join_vars, &key)) continue;
-            // Move the row into its bucket and merge from the stored copy;
-            // the other side's table is a different map, so this reference
-            // stays valid while the matches are merged.
-            std::vector<rdf::Binding>& bucket = table[side][key];
-            bucket.push_back(std::move(item.row));
-            const rdf::Binding& row = bucket.back();
-            auto it = table[1 - side].find(key);
-            if (it == table[1 - side].end()) continue;
-            for (const rdf::Binding& other : it->second) {
-              w->Add(side == 0 ? MergeBindings(row, other)
-                               : MergeBindings(other, row));
-            }
-          }
-          return true;
-        };
-    auto join = std::make_unique<RelayTask<TaggedRow, rdf::Binding>>(
-        task_group_, rec, obs::Span(spans_, "join", exec_span_id_), merged,
-        out, batch, token, std::move(join_process), nullptr,
-        [merged, left, right, out] {
-          merged->Close();
-          left->Close();
-          right->Close();
-          out->Close();
-        });
-    svc::Scheduler::TaskRef ref = AddTask(std::move(join));
-    WakeOnReadable(merged, ref);
-    WakeOnWritable(out, ref);
-    return out;
-  }
-
-  RowQueuePtr StartLeftJoin(const FedPlanNode& node) {
-    RowQueuePtr left = StartNode(*node.children[0]);
-    RowQueuePtr right = StartNode(*node.children[1]);
-    NodeQueue nq = MakeOutQueue(node);
-    RowQueuePtr out = nq.queue;
-    auto task = std::make_unique<LeftJoinTask>(
+    auto task = std::make_unique<JoinTask>(
         task_group_, nq.runtime,
-        obs::Span(spans_, "leftjoin", exec_span_id_), left, right, out,
-        batch_, token_, node.join_vars, [left, right, out] {
+        obs::Span(spans_, left_outer ? "leftjoin" : "join", exec_span_id_),
+        left, right, out, batch_, token_, node.join_vars, left_outer,
+        [left, right, out] {
           left->Close();
           right->Close();
           out->Close();
@@ -1826,10 +1759,10 @@ class PlanExecution::Impl {
     CancellationToken token = token_;
     for (const FedPlanPtr& child : node.children) {
       RowQueuePtr in = StartNode(*child);
-      auto arm = std::make_unique<RelayTask<rdf::Binding, rdf::Binding>>(
+      auto arm = std::make_unique<RelayTask>(
           task_group_, rec, obs::Span(spans_, "union-arm", exec_span_id_),
           in, out, batch_, token,
-          [](std::vector<rdf::Binding>&& rows, TaskWriter<rdf::Binding>* w) {
+          [](std::vector<rdf::Binding>&& rows, TaskWriter* w) {
             for (rdf::Binding& row : rows) w->Add(std::move(row));
             return true;
           },
@@ -1848,14 +1781,11 @@ class PlanExecution::Impl {
   // Builds the standard one-in/one-out relay wiring shared by the scalar
   // operators below.
   RowQueuePtr MakeRelay(const FedPlanNode& node, const char* span_name,
-                        RowQueuePtr in,
-                        RelayTask<rdf::Binding, rdf::Binding>::ProcessFn
-                            process,
-                        RelayTask<rdf::Binding, rdf::Binding>::FinalizeFn
-                            finalize = nullptr) {
+                        RowQueuePtr in, RelayTask::ProcessFn process,
+                        RelayTask::FinalizeFn finalize = nullptr) {
     NodeQueue nq = MakeOutQueue(node);
     RowQueuePtr out = nq.queue;
-    auto task = std::make_unique<RelayTask<rdf::Binding, rdf::Binding>>(
+    auto task = std::make_unique<RelayTask>(
         task_group_, nq.runtime, obs::Span(spans_, span_name, exec_span_id_),
         in, out, batch_, token_, std::move(process), std::move(finalize),
         [in, out] {
@@ -1873,8 +1803,7 @@ class PlanExecution::Impl {
     std::vector<sparql::FilterExprPtr> filters = node.filters;
     return MakeRelay(
         node, "filter", in,
-        [filters](std::vector<rdf::Binding>&& rows,
-                  TaskWriter<rdf::Binding>* w) {
+        [filters](std::vector<rdf::Binding>&& rows, TaskWriter* w) {
           for (rdf::Binding& row : rows) {
             bool pass = true;
             for (const sparql::FilterExprPtr& f : filters) {
@@ -1897,8 +1826,7 @@ class PlanExecution::Impl {
     std::vector<std::string> projection = node.projection;
     return MakeRelay(
         node, "project", in,
-        [projection](std::vector<rdf::Binding>&& rows,
-                     TaskWriter<rdf::Binding>* w) {
+        [projection](std::vector<rdf::Binding>&& rows, TaskWriter* w) {
           for (rdf::Binding& row : rows) {
             rdf::Binding projected;
             for (const std::string& v : projection) {
@@ -1919,12 +1847,11 @@ class PlanExecution::Impl {
     auto rows = std::make_shared<std::vector<rdf::Binding>>();
     return MakeRelay(
         node, span_name, std::move(in),
-        [rows](std::vector<rdf::Binding>&& in_batch,
-               TaskWriter<rdf::Binding>*) {
+        [rows](std::vector<rdf::Binding>&& in_batch, TaskWriter*) {
           for (rdf::Binding& row : in_batch) rows->push_back(std::move(row));
           return true;
         },
-        [rows, finish = std::move(finish)](TaskWriter<rdf::Binding>* w) {
+        [rows, finish = std::move(finish)](TaskWriter* w) {
           finish(rows.get());
           for (rdf::Binding& row : *rows) w->Add(std::move(row));
           rows->clear();
@@ -1953,8 +1880,7 @@ class PlanExecution::Impl {
     return MakeRelay(
         node, "distinct", in,
         [seen = std::unordered_set<std::string>{}](
-            std::vector<rdf::Binding>&& rows,
-            TaskWriter<rdf::Binding>* w) mutable {
+            std::vector<rdf::Binding>&& rows, TaskWriter* w) mutable {
           for (rdf::Binding& row : rows) {
             std::string key;
             rdf::AppendRowKey(row, &key);
@@ -1973,7 +1899,7 @@ class PlanExecution::Impl {
     return MakeRelay(
         node, "limit", in,
         [limit, emitted = int64_t{0}](std::vector<rdf::Binding>&& rows,
-                                      TaskWriter<rdf::Binding>* w) mutable {
+                                      TaskWriter* w) mutable {
           for (rdf::Binding& row : rows) {
             if (emitted >= limit) return false;
             w->Add(std::move(row));

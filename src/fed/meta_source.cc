@@ -366,13 +366,13 @@ std::string MetaSource::RenderTable(const std::string& table) const {
     return out.str();
   }
   for (const rdf::Triple& row : rows) {
-    std::string key = row.subject.value();
+    std::string key(row.subject.value());
     if (key.rfind(root, 0) == 0) key = key.substr(root.size());
     out << key << "\n";
     for (const rdf::Triple& t :
          store.Match(row.subject, std::nullopt, std::nullopt)) {
       if (t.predicate.value() == rdf::kRdfType) continue;
-      std::string pred = t.predicate.value();
+      std::string pred(t.predicate.value());
       if (pred.rfind(ns, 0) == 0) pred = pred.substr(ns.size());
       out << "  " << pred << " = " << t.object.value() << "\n";
     }

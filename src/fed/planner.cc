@@ -106,7 +106,7 @@ stats::PatternSpec SpecForStar(const StarSubQuery& star,
   if (star.subject.is_var) spec.subject_var = star.subject.var;
   for (const rdf::TriplePattern& p : star.patterns) {
     if (p.predicate.is_var || !p.predicate.term.is_iri()) continue;
-    const std::string& pred = p.predicate.term.value();
+    std::string_view pred = p.predicate.term.value();
     if (pred == rdf::kRdfType) continue;
     stats::PatternPredicate pp;
     pp.predicate = pred;

@@ -27,7 +27,7 @@ std::vector<std::string> StarSubQuery::ConstantPredicates() const {
   std::vector<std::string> out;
   for (const rdf::TriplePattern& p : patterns) {
     if (!p.predicate.is_var && p.predicate.term.is_iri()) {
-      out.push_back(p.predicate.term.value());
+      out.emplace_back(p.predicate.term.value());
     }
   }
   return out;
@@ -38,7 +38,7 @@ std::optional<std::string> StarSubQuery::PredicateOfObjectVar(
   for (const rdf::TriplePattern& p : patterns) {
     if (p.object.is_var && p.object.var == var && !p.predicate.is_var &&
         p.predicate.term.is_iri()) {
-      return p.predicate.term.value();
+      return std::string(p.predicate.term.value());
     }
   }
   return std::nullopt;

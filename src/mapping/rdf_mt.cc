@@ -57,7 +57,7 @@ std::vector<RdfMt> RdfMtCatalog::ExtractFromTripleStore(
     molecule.cardinality =
         store.Match(std::nullopt, rdf::Term::Iri(rdf::kRdfType), cls).size();
     for (const rdf::Term& pred : store.PredicatesOfClass(cls)) {
-      molecule.predicates.insert(pred.value());
+      molecule.predicates.insert(std::string(pred.value()));
     }
     // Links: predicates whose objects are typed instances of another class.
     store.MatchVisit(std::nullopt, rdf::Term::Iri(rdf::kRdfType), cls,
@@ -70,7 +70,8 @@ std::vector<RdfMt> RdfMtCatalog::ExtractFromTripleStore(
                                  t.object, rdf::Term::Iri(rdf::kRdfType),
                                  std::nullopt);
                              if (!types.empty() && types[0].object.is_iri()) {
-                               molecule.links[t.predicate.value()] =
+                               molecule.links[std::string(
+                                   t.predicate.value())] =
                                    types[0].object.value();
                              }
                              return true;

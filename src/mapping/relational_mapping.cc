@@ -1,6 +1,9 @@
 #include "mapping/relational_mapping.h"
 
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 #include "common/string_util.h"
 
@@ -16,28 +19,73 @@ IriTemplate::IriTemplate(std::string pattern) {
   suffix_ = pattern.substr(pos + 2);
 }
 
+namespace {
+
+// The text Value::ToString renders for a cell, without allocating: a view
+// of a string cell, or digits formatted into a stack buffer. Only a double
+// whose "%f" form overflows the buffer falls back to ToString.
+class ValueText {
+ public:
+  explicit ValueText(const rel::Value& value) {
+    if (value.is_string()) {
+      view_ = value.AsString();
+    } else if (value.is_int()) {
+      auto [end, ec] = std::to_chars(buf_, buf_ + sizeof(buf_), value.AsInt());
+      view_ = std::string_view(buf_, static_cast<size_t>(end - buf_));
+    } else if (value.is_double()) {
+      // std::to_string(double) is specified as "%f".
+      int n = std::snprintf(buf_, sizeof(buf_), "%f", value.AsDouble());
+      if (n >= 0 && static_cast<size_t>(n) < sizeof(buf_)) {
+        view_ = std::string_view(buf_, static_cast<size_t>(n));
+      } else {
+        spill_ = value.ToString();
+        view_ = spill_;
+      }
+    } else {
+      view_ = "NULL";
+    }
+  }
+  ValueText(const ValueText&) = delete;
+  ValueText& operator=(const ValueText&) = delete;
+
+  std::string_view view() const { return view_; }
+
+ private:
+  char buf_[64];
+  std::string spill_;
+  std::string_view view_;
+};
+
+}  // namespace
+
 std::string IriTemplate::Format(const rel::Value& value) const {
-  return prefix_ + value.ToString() + suffix_;
+  std::string iri = prefix_;
+  iri.append(ValueText(value).view()).append(suffix_);
+  return iri;
 }
 
-std::optional<std::string> IriTemplate::Extract(const std::string& iri) const {
+rdf::Term IriTemplate::FormatTerm(const rel::Value& value) const {
+  return rdf::Term::Iri(prefix_, ValueText(value).view(), suffix_);
+}
+
+std::optional<std::string> IriTemplate::Extract(std::string_view iri) const {
   if (!StartsWith(iri, prefix_) || !EndsWith(iri, suffix_)) {
     return std::nullopt;
   }
   size_t len = iri.size() - prefix_.size() - suffix_.size();
   if (iri.size() < prefix_.size() + suffix_.size()) return std::nullopt;
-  return iri.substr(prefix_.size(), len);
+  return std::string(iri.substr(prefix_.size(), len));
 }
 
 const PredicateMapping* ClassMapping::FindPredicate(
-    const std::string& iri) const {
+    std::string_view iri) const {
   for (const PredicateMapping& pm : predicates) {
     if (pm.predicate == iri) return &pm;
   }
   return nullptr;
 }
 
-const ClassMapping* SourceMapping::FindClass(const std::string& iri) const {
+const ClassMapping* SourceMapping::FindClass(std::string_view iri) const {
   for (const ClassMapping& cm : classes) {
     if (cm.class_iri == iri) return &cm;
   }
@@ -45,36 +93,35 @@ const ClassMapping* SourceMapping::FindClass(const std::string& iri) const {
 }
 
 const ClassMapping* SourceMapping::ClassOfPredicate(
-    const std::string& predicate) const {
+    std::string_view predicate) const {
   for (const ClassMapping& cm : classes) {
     if (cm.FindPredicate(predicate) != nullptr) return &cm;
   }
   return nullptr;
 }
 
-rel::Value ValueFromLexical(const std::string& lexical,
-                            const std::string& datatype) {
+rel::Value ValueFromLexical(std::string_view lexical,
+                            std::string_view datatype) {
+  std::string text(lexical);  // strtoll/strtod need a terminated string
   if (Contains(datatype, "integer") || Contains(datatype, "long") ||
       Contains(datatype, "#int")) {
     return rel::Value(
-        static_cast<int64_t>(std::strtoll(lexical.c_str(), nullptr, 10)));
+        static_cast<int64_t>(std::strtoll(text.c_str(), nullptr, 10)));
   }
   if (Contains(datatype, "double") || Contains(datatype, "decimal") ||
       Contains(datatype, "float")) {
-    return rel::Value(std::strtod(lexical.c_str(), nullptr));
+    return rel::Value(std::strtod(text.c_str(), nullptr));
   }
-  return rel::Value(lexical);
+  return rel::Value(std::move(text));
 }
 
 rdf::Term TermFromValue(const rel::Value& value, const PredicateMapping& pm) {
-  if (pm.object_is_iri) {
-    return rdf::Term::Iri(pm.iri_template.Format(value));
-  }
-  return rdf::Term::Literal(value.ToString(), pm.literal_datatype);
+  if (pm.object_is_iri) return pm.iri_template.FormatTerm(value);
+  return rdf::Term::Literal(ValueText(value).view(), pm.literal_datatype);
 }
 
 rdf::Term SubjectFromValue(const rel::Value& value, const ClassMapping& cm) {
-  return rdf::Term::Iri(cm.subject_template.Format(value));
+  return cm.subject_template.FormatTerm(value);
 }
 
 Result<rel::Value> ValueFromTerm(const rdf::Term& term,
@@ -86,7 +133,7 @@ Result<rel::Value> ValueFromTerm(const rdf::Term& term,
     }
     auto text = pm.iri_template.Extract(term.value());
     if (!text.has_value()) {
-      return Status::InvalidArgument("IRI " + term.value() +
+      return Status::InvalidArgument("IRI " + std::string(term.value()) +
                                      " does not match template " +
                                      pm.iri_template.pattern());
     }
@@ -137,7 +184,8 @@ Result<rel::Value> PkValueFromSubject(const rdf::Term& subject,
   }
   auto text = cm.subject_template.Extract(subject.value());
   if (!text.has_value()) {
-    return Status::InvalidArgument("subject IRI " + subject.value() +
+    return Status::InvalidArgument("subject IRI " +
+                                   std::string(subject.value()) +
                                    " does not match template " +
                                    cm.subject_template.pattern());
   }

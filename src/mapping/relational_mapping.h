@@ -12,6 +12,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -32,9 +33,12 @@ class IriTemplate {
 
   // Renders the IRI for a value ("{}" replaced by the value's text).
   std::string Format(const rel::Value& value) const;
+  // The same IRI as a term: prefix, key text and suffix are written
+  // straight into the term's storage.
+  rdf::Term FormatTerm(const rel::Value& value) const;
 
   // Recovers the value text from an IRI; nullopt if it does not match.
-  std::optional<std::string> Extract(const std::string& iri) const;
+  std::optional<std::string> Extract(std::string_view iri) const;
 
   std::string pattern() const { return prefix_ + "{}" + suffix_; }
 
@@ -67,7 +71,7 @@ struct ClassMapping {
   IriTemplate subject_template;  // subject IRI <-> pk value
   std::vector<PredicateMapping> predicates;
 
-  const PredicateMapping* FindPredicate(const std::string& iri) const;
+  const PredicateMapping* FindPredicate(std::string_view iri) const;
 };
 
 // All class mappings of one relational source.
@@ -75,9 +79,9 @@ struct SourceMapping {
   std::string source_id;
   std::vector<ClassMapping> classes;
 
-  const ClassMapping* FindClass(const std::string& iri) const;
+  const ClassMapping* FindClass(std::string_view iri) const;
   // The class mapping (if any) that declares the given predicate.
-  const ClassMapping* ClassOfPredicate(const std::string& predicate) const;
+  const ClassMapping* ClassOfPredicate(std::string_view predicate) const;
 };
 
 // --- value <-> term conversion ----------------------------------------------
@@ -99,8 +103,8 @@ Result<rel::Value> PkValueFromSubject(const rdf::Term& subject,
 
 // Parses a literal's lexical form into a typed relational value based on the
 // declared datatype ("" or string types -> STRING).
-rel::Value ValueFromLexical(const std::string& lexical,
-                            const std::string& datatype);
+rel::Value ValueFromLexical(std::string_view lexical,
+                            std::string_view datatype);
 
 // Derives the RDF molecule templates a relational source exposes through its
 // mappings (one molecule per mapped class; predicate links are inferred from

@@ -138,8 +138,8 @@ Binding MergeBindings(const Binding& left, const Binding& right);
 // Appends an injective encoding of `term` to `key`: the kind, then the
 // value, datatype and language tag, each length-prefixed. Distinct terms
 // never encode alike, and neither do distinct sequences of terms, so
-// concatenated encodings key joins, DISTINCT and IN-list membership
-// without rendering N-Triples text.
+// concatenated encodings key DISTINCT and IN-list membership without
+// rendering N-Triples text.
 void AppendTermKey(const Term& term, std::string* key);
 
 // Appends an injective encoding of the whole row (variables and terms) to

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
+#include <optional>
 #include <set>
 
-#include "common/string_util.h"
 #include "sparql/filter_expr.h"
 
 namespace lakefed::sparql {
@@ -68,21 +67,6 @@ struct AggState {
 };
 
 }  // namespace
-
-std::optional<double> TryNumericTerm(const rdf::Term& term) {
-  if (!term.is_literal()) return std::nullopt;
-  const std::string& dt = term.datatype();
-  bool numeric_dt = Contains(dt, "integer") || Contains(dt, "double") ||
-                    Contains(dt, "decimal") || Contains(dt, "float") ||
-                    Contains(dt, "int") || Contains(dt, "long");
-  if (!dt.empty() && !numeric_dt) return std::nullopt;
-  const std::string& s = term.value();
-  if (s.empty()) return std::nullopt;
-  char* end = nullptr;
-  double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) return std::nullopt;
-  return v;
-}
 
 std::vector<rdf::Binding> AggregateSolutions(
     const std::vector<rdf::Binding>& solutions,

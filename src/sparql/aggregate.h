@@ -6,7 +6,6 @@
 #ifndef LAKEFED_SPARQL_AGGREGATE_H_
 #define LAKEFED_SPARQL_AGGREGATE_H_
 
-#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -14,10 +13,6 @@
 #include "sparql/ast.h"
 
 namespace lakefed::sparql {
-
-// Numeric view of a term (numeric literal datatypes or plain numeric
-// lexical forms); nullopt otherwise.
-std::optional<double> TryNumericTerm(const rdf::Term& term);
 
 // Groups `solutions` by the `group_by` variables and computes one output
 // binding per group: the grouping keys plus one value per aggregate (bound

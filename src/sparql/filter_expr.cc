@@ -1,6 +1,7 @@
 #include "sparql/filter_expr.h"
 
 #include <cstdlib>
+#include <cstring>
 #include <regex>
 
 #include "common/string_util.h"
@@ -12,23 +13,6 @@ const char kXsdBoolean[] = "http://www.w3.org/2001/XMLSchema#boolean";
 
 rdf::Term BoolTerm(bool b) {
   return rdf::Term::Literal(b ? "true" : "false", kXsdBoolean);
-}
-
-// Numeric view of a literal: parses the lexical form when the datatype is
-// numeric or when the untyped lexical form looks like a number.
-std::optional<double> TryNumeric(const rdf::Term& term) {
-  if (!term.is_literal()) return std::nullopt;
-  const std::string& dt = term.datatype();
-  bool numeric_dt = Contains(dt, "integer") || Contains(dt, "double") ||
-                    Contains(dt, "decimal") || Contains(dt, "float") ||
-                    Contains(dt, "int") || Contains(dt, "long");
-  if (!dt.empty() && !numeric_dt) return std::nullopt;
-  const std::string& s = term.value();
-  if (s.empty()) return std::nullopt;
-  char* end = nullptr;
-  double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) return std::nullopt;
-  return v;
 }
 
 bool CompareHolds(FilterExpr::CompareOp op, const rdf::Term& lhs,
@@ -50,12 +34,39 @@ bool CompareHolds(FilterExpr::CompareOp op, const rdf::Term& lhs,
 bool EffectiveBool(const rdf::Term& term) {
   if (!term.is_literal()) return true;  // IRIs/blanks are truthy
   if (term.datatype() == kXsdBoolean) return term.value() == "true";
-  if (auto n = TryNumeric(term)) return *n != 0.0;
+  if (auto n = TryNumericTerm(term)) return *n != 0.0;
   return !term.value().empty();
 }
 
+std::optional<double> TryNumericTerm(const rdf::Term& term) {
+  if (!term.is_literal()) return std::nullopt;
+  std::string_view dt = term.datatype();
+  bool numeric_dt = Contains(dt, "integer") || Contains(dt, "double") ||
+                    Contains(dt, "decimal") || Contains(dt, "float") ||
+                    Contains(dt, "int") || Contains(dt, "long");
+  if (!dt.empty() && !numeric_dt) return std::nullopt;
+  std::string_view s = term.value();
+  if (s.empty()) return std::nullopt;
+  // strtod needs a terminated string: parse a stack copy, or a heap copy
+  // of a lexical form too long for it.
+  char stack_copy[64];
+  std::string heap_copy;
+  const char* text = stack_copy;
+  if (s.size() < sizeof(stack_copy)) {
+    std::memcpy(stack_copy, s.data(), s.size());
+    stack_copy[s.size()] = '\0';
+  } else {
+    heap_copy.assign(s);
+    text = heap_copy.c_str();
+  }
+  char* end = nullptr;
+  double v = std::strtod(text, &end);
+  if (end != text + s.size()) return std::nullopt;
+  return v;
+}
+
 int CompareTermsSparql(const rdf::Term& a, const rdf::Term& b) {
-  auto na = TryNumeric(a), nb = TryNumeric(b);
+  auto na = TryNumericTerm(a), nb = TryNumericTerm(b);
   if (na.has_value() && nb.has_value()) {
     if (*na < *nb) return -1;
     if (*na > *nb) return 1;
@@ -170,8 +181,8 @@ Result<rdf::Term> FilterExpr::Eval(const rdf::Binding& binding) const {
                                        " expects 2 arguments");
       }
       LAKEFED_ASSIGN_OR_RETURN(rdf::Term arg1, args_[1]->Eval(binding));
-      const std::string& s = arg0.value();
-      const std::string& t = arg1.value();
+      std::string_view s = arg0.value();
+      std::string_view t = arg1.value();
       switch (func_) {
         case Func::kContains:
           return BoolTerm(Contains(s, t));
@@ -181,10 +192,10 @@ Result<rdf::Term> FilterExpr::Eval(const rdf::Binding& binding) const {
           return BoolTerm(EndsWith(s, t));
         case Func::kRegex: {
           try {
-            std::regex re(t);
-            return BoolTerm(std::regex_search(s, re));
+            std::regex re(t.begin(), t.end());
+            return BoolTerm(std::regex_search(s.begin(), s.end(), re));
           } catch (const std::regex_error&) {
-            return Status::InvalidArgument("bad regex: " + t);
+            return Status::InvalidArgument("bad regex: " + std::string(t));
           }
         }
         default:
@@ -346,11 +357,10 @@ bool IsPushableToSql(const FilterExpr& expr, std::string* var) {
   if (expr.func() != FilterExpr::Func::kRegex) return true;  // LIKE-able
   // REGEX: only patterns that reduce to LIKE — optional ^/$ anchors around
   // a metacharacter-free core.
-  const std::string& pattern = expr.args()[1]->literal().value();
-  std::string core = pattern;
-  if (StartsWith(core, "^")) core = core.substr(1);
-  if (EndsWith(core, "$")) core = core.substr(0, core.size() - 1);
-  return core.find_first_of(".*+?[](){}|\\^$") == std::string::npos;
+  std::string_view core = expr.args()[1]->literal().value();
+  if (StartsWith(core, "^")) core.remove_prefix(1);
+  if (EndsWith(core, "$")) core.remove_suffix(1);
+  return core.find_first_of(".*+?[](){}|\\^$") == std::string_view::npos;
 }
 
 std::vector<FilterExprPtr> SplitFilterConjuncts(const FilterExprPtr& expr) {

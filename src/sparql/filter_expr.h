@@ -7,6 +7,7 @@
 #define LAKEFED_SPARQL_FILTER_EXPR_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,11 @@ std::vector<FilterExprPtr> SplitFilterConjuncts(const FilterExprPtr& expr);
 // literals by their lexical form, numerics when non-zero, other literals
 // when non-empty.
 bool EffectiveBool(const rdf::Term& term);
+
+// Numeric view of a term: the lexical form parsed with strtod when the
+// datatype is numeric or the literal is untyped; nullopt for other terms
+// and for lexical forms strtod does not consume whole.
+std::optional<double> TryNumericTerm(const rdf::Term& term);
 
 // SPARQL value ordering used by comparisons and ORDER BY: numeric literals
 // compare numerically, everything else by lexical form. Returns <0, 0, >0.

@@ -59,7 +59,7 @@ rel::Value ValueFromObjectTerm(const rdf::Term& term) {
   if (term.is_literal()) {
     return mapping::ValueFromLexical(term.value(), term.datatype());
   }
-  return rel::Value(term.value());
+  return rel::Value(std::string(term.value()));
 }
 
 Result<SourceStats> AnalyzeRelationalSource(
@@ -155,11 +155,11 @@ Result<SourceStats> AnalyzeRdfSource(const std::string& source_id,
   std::map<std::string, std::vector<std::string>> classes_of;
   store.MatchVisit(std::nullopt, type, std::nullopt,
                    [&](const rdf::Triple& t) {
-                     classes_of[t.subject.ToString()].push_back(
-                         t.object.value());
-                     stats.classes[t.object.value()].class_iri =
-                         t.object.value();
-                     ++stats.classes[t.object.value()].entity_count;
+                     std::string cls(t.object.value());
+                     classes_of[t.subject.ToString()].push_back(cls);
+                     ClassStats& cs = stats.classes[cls];
+                     cs.class_iri = cls;
+                     ++cs.entity_count;
                      return true;
                    });
 
@@ -177,7 +177,7 @@ Result<SourceStats> AnalyzeRdfSource(const std::string& source_id,
         auto it = classes_of.find(t.subject.ToString());
         if (it == classes_of.end()) return true;  // untyped subject
         for (const std::string& cls : it->second) {
-          Accum& a = accums[{cls, t.predicate.value()}];
+          Accum& a = accums[{cls, std::string(t.predicate.value())}];
           if (a.sample == nullptr) {
             a.sample = std::make_unique<Reservoir>(
                 SampleSeed(options.seed,

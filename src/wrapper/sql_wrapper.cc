@@ -240,7 +240,7 @@ Result<SqlWrapper::Translation> SqlWrapper::Translate(
             "variable predicates cannot be answered by relational source " +
             id_);
       }
-      const std::string& p = pattern.predicate.term.value();
+      std::string_view p = pattern.predicate.term.value();
       if (p == rdf::kRdfType) {
         if (pattern.object.is_var) {
           tr.fixed[pattern.object.var] = rdf::Term::Iri(cm->class_iri);
@@ -251,7 +251,7 @@ Result<SqlWrapper::Translation> SqlWrapper::Translate(
       }
       const PredicateMapping* pm = cm->FindPredicate(p);
       if (pm == nullptr) {
-        return Status::NotFound("predicate <" + p +
+        return Status::NotFound("predicate <" + std::string(p) +
                                 "> not mapped for class <" + cm->class_iri +
                                 "> at source " + id_);
       }
@@ -320,7 +320,7 @@ Result<SqlWrapper::Translation> SqlWrapper::Translate(
     } else if (info != nullptr && info->pm != nullptr &&
                !info->pm->object_is_iri &&
                filter->kind() == sparql::FilterExpr::Kind::kFunction) {
-      const std::string& needle = filter->args()[1]->literal().value();
+      std::string needle(filter->args()[1]->literal().value());
       std::optional<std::string> like;
       switch (filter->func()) {
         case sparql::FilterExpr::Func::kContains:

@@ -134,6 +134,40 @@ std::string RandomQuery(Rng* rng) {
   return query;
 }
 
+// Builds a random chain over the one cross-dataset IRI link: side effects
+// whose sider:drug IRI names a DrugBank drug, the drug star optionally
+// joined on its target ?sym with one more star.
+std::string RandomChainQuery(Rng* rng) {
+  auto term = [](const std::string& dataset, const std::string& local) {
+    return "<" + lslod::Vocab(dataset, local) + ">";
+  };
+  std::string body = "  ?se a " + term(lslod::kSider, "SideEffect") +
+                     " ; " + term(lslod::kSider, "drug") + " ?d .\n" +
+                     "  ?d a " + term(lslod::kDrugbank, "Drug") + " .\n";
+  std::vector<std::string> projected = {"se", "d"};
+  if (rng->Bernoulli(0.5)) {
+    body += "  ?se " + term(lslod::kSider, "effectName") + " ?effect .\n";
+    projected.push_back("effect");
+  }
+  if (rng->Bernoulli(0.5)) {
+    body += "  ?d " + term(lslod::kDrugbank, "name") + " ?name .\n";
+    if (rng->Bernoulli(0.5)) body += "  FILTER CONTAINS(?name, \"drug0\")\n";
+    projected.push_back("name");
+  }
+  if (rng->Bernoulli(0.5)) {
+    // Drug is Classes()[2]; join any other class on the target symbol.
+    size_t c = static_cast<size_t>(rng->UniformInt(0, 4));
+    const ClassInfo& cls = Classes()[c >= 2 ? c + 1 : c];
+    body += "  ?d " + term(lslod::kDrugbank, "target") + " ?sym .\n" +
+            "  ?e a " + term(cls.dataset, cls.class_local) + " ; " +
+            term(cls.dataset, cls.link_predicate_local) + " ?sym .\n";
+    projected.push_back("e");
+  }
+  std::string query = "SELECT";
+  for (const std::string& v : projected) query += " ?" + v;
+  return query + " WHERE {\n" + body + "}";
+}
+
 TEST(FedFuzzTest, RandomQueriesMatchOracleInAllModes) {
   auto lake = BuildTinyLake(0.05);
   ASSERT_NE(lake, nullptr);
@@ -178,6 +212,50 @@ TEST(FedFuzzTest, RandomQueriesWithDependentJoinsAndTripleDecomposition) {
       ASSERT_EQ(SerializeAnswers(*answer), oracle);
     }
   }
+}
+
+// The same generator over the other physical designs: a mixed lake whose
+// RdfWrapper sources answer from TripleStore terms (DrugBank among them, so
+// the chains join SQL-built template IRIs with the store's IRIs), and the
+// denormalized lake, whose flat tables keep rel's Distinct.
+TEST(FedFuzzTest, RandomQueriesMatchOracleOnMixedAndDenormalizedLakes) {
+  auto mixed = BuildTinyLake(0.05, {lslod::kDrugbank, lslod::kGoa,
+                                    lslod::kTcga, lslod::kPharmgkb});
+  ASSERT_NE(mixed, nullptr);
+  lslod::LakeConfig flat_config;
+  flat_config.scale = 0.05;
+  flat_config.seed = 7;
+  flat_config.denormalized = true;
+  auto flat = lslod::BuildLake(flat_config);
+  ASSERT_TRUE(flat.ok()) << flat.status();
+  Rng rng(20261020);
+  int non_empty = 0;
+  for (const lslod::DataLake* lake : {mixed.get(), flat->get()}) {
+    for (int i = 0; i < 16; ++i) {
+      std::string query = i % 2 == 0 ? RandomQuery(&rng)
+                                     : RandomChainQuery(&rng);
+      SCOPED_TRACE((lake == mixed.get() ? "mixed lake, query #"
+                                        : "denormalized lake, query #") +
+                   std::to_string(i) + ":\n" + query);
+      auto oracle = OracleAnswers(*lake, query);
+      PlanOptions unaware;
+      unaware.mode = PlanMode::kPhysicalDesignUnaware;
+      PlanOptions aware;
+      aware.mode = PlanMode::kPhysicalDesignAware;
+      PlanOptions dependent = aware;
+      dependent.use_dependent_join = true;
+      for (const PlanOptions& options : {unaware, aware, dependent}) {
+        auto answer = lake->engine->Execute(query, options);
+        ASSERT_TRUE(answer.ok()) << answer.status();
+        ASSERT_EQ(SerializeAnswers(*answer), oracle)
+            << PlanModeToString(options.mode)
+            << (options.use_dependent_join ? " + dependent joins" : "");
+        if (!answer->rows.empty()) ++non_empty;
+      }
+    }
+  }
+  // The slice must not be vacuous.
+  EXPECT_GT(non_empty, 40);
 }
 
 }  // namespace

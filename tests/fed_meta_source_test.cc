@@ -61,7 +61,7 @@ TEST_F(FedMetaSourceTest, SysMetricsQueryableViaSparql) {
   ASSERT_EQ(answer->rows.size(), 1u);
   const auto value = answer->rows[0].find("value");
   ASSERT_NE(value, answer->rows[0].end());
-  EXPECT_GE(std::stoull(value->second.value()), 1u);
+  EXPECT_GE(std::stoull(std::string(value->second.value())), 1u);
 }
 
 TEST_F(FedMetaSourceTest, SysSourcesListsDataSourcesNotItself) {
@@ -72,7 +72,7 @@ TEST_F(FedMetaSourceTest, SysSourcesListsDataSourcesNotItself) {
   ASSERT_TRUE(answer.ok()) << answer.status();
   std::set<std::string> ids;
   for (const rdf::Binding& row : answer->rows) {
-    ids.insert(row.at("id").value());
+    ids.insert(std::string(row.at("id").value()));
   }
   EXPECT_TRUE(ids.count("diseasome") > 0) << answer->rows.size();
   EXPECT_TRUE(ids.count("drugbank") > 0);

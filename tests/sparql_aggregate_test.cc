@@ -123,14 +123,14 @@ TEST_F(AggregateEvalTest, GroupByWithSeveralAggregates) {
   // group x: n=4, sum=100, min=10, max=40, avg=25
   EXPECT_EQ(r.rows[0].values[0].value(), "x");
   EXPECT_EQ(r.rows[0].values[1].value(), "4");
-  EXPECT_EQ(std::stod(r.rows[0].values[2].value()), 100.0);
+  EXPECT_EQ(std::stod(std::string(r.rows[0].values[2].value())), 100.0);
   EXPECT_EQ(r.rows[0].values[3].value(), "10");
   EXPECT_EQ(r.rows[0].values[4].value(), "40");
-  EXPECT_EQ(std::stod(r.rows[0].values[5].value()), 25.0);
+  EXPECT_EQ(std::stod(std::string(r.rows[0].values[5].value())), 25.0);
   // group y: n=3 (one weightless drug counted), sum=300
   EXPECT_EQ(r.rows[1].values[0].value(), "y");
   EXPECT_EQ(r.rows[1].values[1].value(), "3");
-  EXPECT_EQ(std::stod(r.rows[1].values[2].value()), 300.0);
+  EXPECT_EQ(std::stod(std::string(r.rows[1].values[2].value())), 300.0);
 }
 
 TEST_F(AggregateEvalTest, CountDistinct) {

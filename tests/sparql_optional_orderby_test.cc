@@ -239,7 +239,7 @@ SELECT ?p ?v WHERE {
   // Values strictly non-increasing; order-sensitive comparison vs oracle.
   double prev = 1e300;
   for (const rdf::Binding& row : answer->rows) {
-    double v = std::stod(row.at("v").value());
+    double v = std::stod(std::string(row.at("v").value()));
     EXPECT_LE(v, prev);
     prev = v;
   }

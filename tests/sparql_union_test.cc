@@ -189,7 +189,7 @@ SELECT DISTINCT ?sym WHERE {
   ASSERT_EQ(answer->rows.size(), 10u);
   std::string prev;
   for (const rdf::Binding& row : answer->rows) {
-    const std::string& sym = row.at("sym").value();
+    std::string sym(row.at("sym").value());
     EXPECT_LT(prev, sym);  // strictly ascending (distinct + sorted)
     prev = sym;
   }

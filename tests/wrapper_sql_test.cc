@@ -218,7 +218,7 @@ TEST_F(SqlWrapperTest, PushedComparisonFilterBecomesWhere) {
   EXPECT_TRUE(tr->residual_filters.empty());
   auto rows = Run(sq);
   for (const rdf::Binding& row : rows) {
-    EXPECT_GE(std::stoll(row.at("deg").value()), 40);
+    EXPECT_GE(std::stoll(std::string(row.at("deg").value())), 40);
   }
 }
 
@@ -280,7 +280,7 @@ TEST_F(SqlWrapperTest, RegexMetacharactersNeverBecomeLike) {
     // Residual evaluation applies true regex semantics.
     std::regex re(pattern);
     for (const rdf::Binding& row : Run(sq)) {
-      EXPECT_TRUE(std::regex_search(row.at("n").value(), re))
+      EXPECT_TRUE(std::regex_search(std::string(row.at("n").value()), re))
           << pattern << " vs " << row.at("n").value();
     }
   }
@@ -344,7 +344,7 @@ TEST_F(SqlWrapperTest, InstantiationsBecomeInList) {
       << tr->statement.ToString();
   auto rows = Run(sq);
   for (const rdf::Binding& row : rows) {
-    std::string sym = row.at("sym").value();
+    std::string sym(row.at("sym").value());
     EXPECT_TRUE(sym == "GENE0001" || sym == "GENE0002") << sym;
   }
 }
