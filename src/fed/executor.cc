@@ -154,7 +154,8 @@ class OpRuntimeRec : public QueueWaitObserver {
 // the scheduler's auxiliary I/O pool.
 
 // Counts an execution's outstanding tasks and I/O jobs so Finish() can
-// wait for all of them.
+// wait for all of them, or so a collecting session hears once that all of
+// them are done.
 class TaskGroup {
  public:
   void Add() {
@@ -162,18 +163,56 @@ class TaskGroup {
     ++outstanding_;
   }
   void Done() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (--outstanding_ == 0) cv_.notify_all();
+    std::function<void()> idle;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (--outstanding_ != 0) return;
+      cv_.notify_all();
+      idle.swap(on_idle_);
+    }
+    if (idle != nullptr) idle();
   }
   void WaitIdle() {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return outstanding_ == 0; });
+  }
+  // Runs `fn` once, on the thread whose Done() brings the count to zero.
+  // Arm it only while something is outstanding.
+  void OnIdle(std::function<void()> fn) {
+    std::lock_guard<std::mutex> lock(mu_);
+    on_idle_ = std::move(fn);
   }
 
  private:
   std::mutex mu_;
   std::condition_variable cv_;
   size_t outstanding_ = 0;
+  std::function<void()> on_idle_;
+};
+
+// Wakes the task that collects the root queue, once there is one: the
+// root's readable listener must be registered before the dataflow starts,
+// but a session decides to collect only later (ResultStream::Collect).
+class RootWaker {
+ public:
+  explicit RootWaker(svc::Scheduler* sched) : sched_(sched) {}
+  void Set(svc::Scheduler::TaskRef ref) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ref_ = std::move(ref);
+  }
+  void Wake() {
+    svc::Scheduler::TaskRef ref;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ref = ref_;
+    }
+    if (ref != nullptr) sched_->Wake(ref);
+  }
+
+ private:
+  svc::Scheduler* const sched_;
+  std::mutex mu_;
+  svc::Scheduler::TaskRef ref_;
 };
 
 // A task's output side. Rows accumulate in an overflow buffer and move
@@ -722,6 +761,8 @@ class PlanExecution::Impl {
       return;
     }
     root_ = StartNode(*plan.root);
+    root_waker_ = std::make_shared<RootWaker>(sched_);
+    root_->AddReadableListener([waker = root_waker_] { waker->Wake(); });
     // Every kick-off (initial wakes, leaf I/O submissions) waits until the
     // whole tree is wired: queue readiness listeners must be frozen before
     // the first producer can push.
@@ -733,6 +774,35 @@ class PlanExecution::Impl {
     batch->clear();
     if (root_ == nullptr || finished_) return false;
     return root_->PopBatch(&batch->rows, batch_, token_) > 0;
+  }
+
+  void Collect(std::function<void(std::vector<rdf::Binding>&&)> sink,
+               std::function<void()> on_done) {
+    if (root_ == nullptr || finished_) {
+      on_done();  // nothing runs (or ran): there is nothing to wait for
+      return;
+    }
+    // A relay without an output: each popped morsel goes to the sink. Like
+    // a cancelled PopBatch, it stops at cancellation without draining.
+    auto task = std::make_unique<RelayTask>(
+        task_group_, nullptr, obs::Span(), root_, nullptr, batch_, token_,
+        [sink = std::move(sink)](std::vector<rdf::Binding>&& rows,
+                                 TaskWriter*) {
+          sink(std::move(rows));
+          return true;
+        },
+        nullptr, [root = root_] { root->Close(); });
+    svc::Scheduler::TaskRef ref = sched_->Register(std::move(task));
+    // The collector is outstanding from its construction, so the group
+    // cannot go idle before the hook is armed. The last Done() may come
+    // from inside a task's Step() or an I/O job; the hook runs as a timer
+    // due now, on a worker between steps.
+    task_group_->OnIdle(
+        [sched = sched_, on_done = std::move(on_done)]() mutable {
+          sched->RunAt(svc::Scheduler::Clock::now(), std::move(on_done));
+        });
+    root_waker_->Set(ref);
+    sched_->Wake(ref);
   }
 
   Status Finish() {
@@ -1915,6 +1985,7 @@ class PlanExecution::Impl {
   // Morsel size of the exchange (>= 1; 1 = legacy row-at-a-time).
   const size_t batch_;
   RowQueuePtr root_;
+  std::shared_ptr<RootWaker> root_waker_;
   // The worker pool the tasks run on (PlanOptions::scheduler), the
   // outstanding-work counter Finish() waits on, and the kick-offs deferred
   // until the tree is fully wired.
@@ -1991,6 +2062,12 @@ void PlanExecution::Start(const FederatedPlan& plan) { impl_->Start(plan); }
 
 bool PlanExecution::NextBatch(RowBatch* batch) {
   return impl_->NextBatch(batch);
+}
+
+void PlanExecution::Collect(
+    std::function<void(std::vector<rdf::Binding>&&)> sink,
+    std::function<void()> on_done) {
+  impl_->Collect(std::move(sink), std::move(on_done));
 }
 
 Status PlanExecution::Finish() { return impl_->Finish(); }

@@ -12,13 +12,15 @@
 // at every batch size.
 //
 // One entry point, PlanExecution: start the dataflow of a whole query's
-// plan, pull batches, tear down cooperatively via a CancellationToken. Every
-// session (fed/session.h) runs exactly one; the blocking Execute shims
-// drain a session.
+// plan, then pull batches or have a task collect them, tear down
+// cooperatively via a CancellationToken. Every session (fed/session.h) runs
+// exactly one; the blocking Execute shims and the query service collect
+// a session.
 
 #ifndef LAKEFED_FED_EXECUTOR_H_
 #define LAKEFED_FED_EXECUTOR_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -132,11 +134,20 @@ class PlanExecution {
   // Starts the dataflow for `plan`. Call exactly once, before NextBatch().
   void Start(const FederatedPlan& plan);
 
-  // Blocks for the next morsel of root rows (the primary pull API).
+  // Blocks for the next morsel of root rows (the pull API).
   // Returns true with at least one row in `batch`; false means
   // end-of-stream: completion, error, cancellation or deadline expiry —
   // Finish() discriminates.
   bool NextBatch(RowBatch* batch);
+
+  // The push API: a task on the scheduler moves every further root morsel
+  // into `sink` as it arrives, and once every task and I/O job of the
+  // dataflow has finished, `on_done` runs once on a scheduler worker —
+  // never inside one of the dataflow's own steps — where Finish() no
+  // longer blocks. Call at most once, after Start(); NextBatch() may not
+  // be called afterwards. `sink` runs on workers, one morsel at a time.
+  void Collect(std::function<void(std::vector<rdf::Binding>&&)> sink,
+               std::function<void()> on_done);
 
   // Closes all queues, waits for every task and I/O job of the dataflow
   // and freezes the statistics.

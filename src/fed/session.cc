@@ -1,7 +1,10 @@
 #include "fed/session.h"
 
+#include <condition_variable>
 #include <cstdio>
 #include <iterator>
+#include <mutex>
+#include <optional>
 
 #include "fed/breaker.h"
 #include "fed/cache.h"
@@ -125,46 +128,46 @@ Status ResultStream::FinishExecution() {
 
 bool ResultStream::NextBatch(RowBatch* batch) {
   batch->clear();
-  // Serve the remainder of the Next() shim's pending batch first, so the
-  // two pull APIs interleave without losing or reordering rows.
-  if (shim_pos_ < shim_pending_.size()) {
-    batch->rows.assign(
-        std::make_move_iterator(shim_pending_.rows.begin() +
-                                static_cast<ptrdiff_t>(shim_pos_)),
-        std::make_move_iterator(shim_pending_.rows.end()));
-    shim_pending_.clear();
-    shim_pos_ = 0;
-    return true;
-  }
-  if (ended_ || finished_) return false;
-  return PullBatch(batch);
-}
-
-bool ResultStream::Next(rdf::Binding* row) {
-  if (shim_pos_ >= shim_pending_.size()) {
-    shim_pending_.clear();
-    shim_pos_ = 0;
-    if (ended_ || finished_ || !PullBatch(&shim_pending_)) return false;
-  }
-  *row = std::move(shim_pending_.rows[shim_pos_]);
-  ++shim_pos_;
-  return true;
-}
-
-bool ResultStream::PullBatch(RowBatch* batch) {
+  if (execution_ == nullptr) return false;
   if (execution_->NextBatch(batch)) {
-    // The whole morsel became available to the client together: its rows
-    // share one arrival timestamp in the answer trace.
-    const double now = stopwatch_.ElapsedSeconds();
-    trace_.timestamps.insert(trace_.timestamps.end(), batch->size(), now);
+    StampArrival(batch->size());
     return true;
   }
-  // End of stream: completed, errored, cancelled or expired.
+  EndStream();
+  return false;
+}
+
+void ResultStream::Collect(DoneFn done) {
+  if (execution_ == nullptr) {
+    done(TakeAnswer());
+    return;
+  }
+  execution_->Collect(
+      [this](std::vector<rdf::Binding>&& rows) {
+        StampArrival(rows.size());
+        collected_.insert(collected_.end(),
+                          std::make_move_iterator(rows.begin()),
+                          std::make_move_iterator(rows.end()));
+      },
+      [this, done = std::move(done)] {
+        EndStream();
+        done(TakeAnswer());  // may destroy this stream
+      });
+}
+
+void ResultStream::StampArrival(size_t n) {
+  // The whole morsel became available to the client together: its rows
+  // share one arrival timestamp in the answer trace.
+  const double now = stopwatch_.ElapsedSeconds();
+  trace_.timestamps.insert(trace_.timestamps.end(), n, now);
+}
+
+void ResultStream::EndStream() {
+  // Completed, errored, cancelled or expired.
   trace_.completion_seconds = stopwatch_.ElapsedSeconds();
   ended_ = true;
   status_ = FinishExecution();
   fully_drained_ = status_.ok();
-  return false;
 }
 
 void ResultStream::Cancel() {
@@ -267,23 +270,34 @@ obs::QueryProfile ResultStream::profile() const {
   return profile;
 }
 
-Result<QueryAnswer> ResultStream::Drain() {
-  QueryAnswer answer;
-  RowBatch batch;
-  while (NextBatch(&batch)) {
-    answer.rows.insert(answer.rows.end(),
-                       std::make_move_iterator(batch.rows.begin()),
-                       std::make_move_iterator(batch.rows.end()));
-  }
+Result<QueryAnswer> ResultStream::TakeAnswer() {
   LAKEFED_RETURN_NOT_OK(Finish());
+  QueryAnswer answer;
   answer.variables = variables_;
+  answer.rows = std::move(collected_);
   answer.trace = trace_;
   answer.stats = stats_;
   answer.plan_text = plan_text_;
-  // Copied, not moved: profile() stays valid after Drain().
+  // Copied, not moved: profile() stays valid after the answer is taken.
   answer.operator_runtime = operator_runtime_;
   answer.metrics_json = metrics_json_;
   return answer;
+}
+
+Result<QueryAnswer> ResultStream::Drain() {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::optional<Result<QueryAnswer>> answer;
+  Collect([&](Result<QueryAnswer> result) {
+    // Notified under the lock: Drain() may return the moment it can see
+    // the answer, taking `cv` with it.
+    std::lock_guard<std::mutex> lock(mu);
+    answer.emplace(std::move(result));
+    cv.notify_one();
+  });
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&] { return answer.has_value(); });
+  return std::move(*answer);
 }
 
 }  // namespace lakefed::fed

@@ -8,12 +8,15 @@
 //
 // Relationship to the blocking API: FederatedEngine::Execute and
 // ExecuteParsed are thin shims that create a session and Drain() it, so a
-// QueryAnswer is exactly "a fully consumed ResultStream".
+// QueryAnswer is exactly "a fully consumed ResultStream". Drain() is
+// Collect() plus a wait, and the query service collects its sessions the
+// same way, so every answer is finished by one completion path.
 
 #ifndef LAKEFED_FED_SESSION_H_
 #define LAKEFED_FED_SESSION_H_
 
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -71,9 +74,9 @@ struct QueryRequest {
 // output back until their input is complete, and a LIMIT cancels the
 // upstream work it no longer needs.
 //
-// Threading: Next(), Finish() and Drain() belong to one consumer thread;
-// Cancel() may be called concurrently from any thread. trace()/stats()/
-// operator_runtime() are stable once Finish() returned.
+// Threading: NextBatch(), Finish() and Drain() belong to one consumer
+// thread; Cancel() may be called concurrently from any thread. trace()/
+// stats()/operator_runtime() are stable once Finish() returned.
 class ResultStream {
  public:
   ~ResultStream();  // cancels if not fully consumed, waits for the dataflow
@@ -81,18 +84,23 @@ class ResultStream {
   ResultStream(const ResultStream&) = delete;
   ResultStream& operator=(const ResultStream&) = delete;
 
-  // Pulls the next morsel of solution mappings into `*batch` (the primary
-  // pull API: up to PlanOptions::batch_size rows that became available
-  // together). Blocks until at least one row is available. Returns false at
-  // end-of-stream — completion, error, cancellation or deadline expiry;
-  // Finish() discriminates.
+  // Pulls the next morsel of solution mappings into `*batch` (the pull API
+  // for streaming callers: up to PlanOptions::batch_size rows that became
+  // available together). Blocks until at least one row is available.
+  // Returns false at end-of-stream — completion, error, cancellation or
+  // deadline expiry; Finish() discriminates.
   bool NextBatch(RowBatch* batch);
 
-  // Row-at-a-time compatibility shim over NextBatch(): serves rows from an
-  // internal pending batch, refilling as needed. May be interleaved freely
-  // with NextBatch() (pending rows are served first). Returns false at
-  // end-of-stream.
-  bool Next(rdf::Binding* row);
+  // The push API. A task on the session's scheduler collects every further
+  // row into the answer, stamping the answer trace as NextBatch() does.
+  // Once the whole dataflow has finished, `done` runs once with the answer
+  // (or the terminal status) on a scheduler worker, never inside one of
+  // the session's own task steps. The stream is finished by then, so
+  // `done` may destroy it. Call at most once; NextBatch() may precede it
+  // but not follow it. On a stream that already ended, `done` runs at once
+  // on the calling thread.
+  using DoneFn = std::function<void(Result<QueryAnswer>)>;
+  void Collect(DoneFn done);
 
   // Requests cooperative cancellation: every queue of the dataflow closes
   // and mid-delay network transfers wake, so source scans unwind promptly.
@@ -106,8 +114,8 @@ class ResultStream {
   // Idempotent.
   Status Finish();
 
-  // Convenience: consumes the rest of the stream into a QueryAnswer and
-  // Finish()es. The blocking Execute shims are implemented with this.
+  // Collect(), then wait for the answer. The blocking Execute shims are
+  // implemented with this.
   Result<QueryAnswer> Drain();
 
   // Projection of the result rows. Valid from creation.
@@ -171,9 +179,12 @@ class ResultStream {
       uint64_t session_span = 0,
       obs::MetricsRegistry* engine_metrics = nullptr);
 
-  // Pulls the next morsel from the execution; at end-of-stream finishes it
-  // and records the terminal status.
-  bool PullBatch(RowBatch* batch);
+  // Stamps `n` rows' arrival in the answer trace.
+  void StampArrival(size_t n);
+  // End of stream: finishes the execution and records the terminal status.
+  void EndStream();
+  // Finish()es and moves the collected rows and the records into an answer.
+  Result<QueryAnswer> TakeAnswer();
   // Plans query_: consults the plan cache first when the session opted in
   // (PlanOptions::plan_cache), else — and on every miss — runs BuildPlan.
   // The returned plan is immutable and possibly shared with concurrent
@@ -197,9 +208,8 @@ class ResultStream {
   std::shared_ptr<const FederatedPlan> plan_;
   Stopwatch stopwatch_;
 
-  // Pending batch backing the row-at-a-time Next() shim.
-  RowBatch shim_pending_;
-  size_t shim_pos_ = 0;
+  // Rows gathered by Collect().
+  std::vector<rdf::Binding> collected_;
 
   std::vector<std::string> variables_;
   AnswerTrace trace_;
@@ -216,7 +226,7 @@ class ResultStream {
   obs::MetricsRegistry* engine_metrics_ = nullptr;  // merge target (not owned)
   std::string metrics_json_;
 
-  bool ended_ = false;          // Next() hit end-of-stream
+  bool ended_ = false;          // the stream hit end-of-stream
   bool fully_drained_ = false;  // ended by completion, not error/cancel
   bool finished_ = false;       // Finish() ran
   Status status_;

@@ -73,6 +73,7 @@ Scheduler::~Scheduler() {
   }
   io_cv_.notify_all();
   for (std::thread& t : io_thread_objs_) t.join();
+  timers_.clear();  // pending timers are dropped, not run
 }
 
 Scheduler::TaskRef Scheduler::Register(std::unique_ptr<Task> task) {
@@ -119,6 +120,45 @@ void Scheduler::SubmitIo(std::function<void()> job) {
     io_jobs_.push_back(std::move(job));
   }
   io_cv_.notify_one();
+}
+
+void Scheduler::RunAt(Clock::time_point due, std::function<void()> fn) {
+  {
+    std::lock_guard<std::mutex> lock(sleep_mu_);
+    timers_.push_back(Timer{due, timer_seq_++, std::move(fn)});
+    std::push_heap(timers_.begin(), timers_.end(), FiresLater);
+    next_due_.store(timers_.front().due.time_since_epoch().count(),
+                    std::memory_order_relaxed);
+  }
+  // A parked worker waits until the earliest due time it saw; wake one so
+  // it re-reads the heap in case this timer is earlier.
+  idle_cv_.notify_one();
+}
+
+bool Scheduler::FiresLater(const Timer& a, const Timer& b) {
+  return a.due != b.due ? a.due > b.due : a.seq > b.seq;
+}
+
+bool Scheduler::RunDueTimer() {
+  const Clock::time_point now = Clock::now();
+  if (next_due_.load(std::memory_order_relaxed) >
+      now.time_since_epoch().count()) {
+    return false;
+  }
+  std::function<void()> fn;
+  {
+    std::lock_guard<std::mutex> lock(sleep_mu_);
+    if (stop_ || timers_.empty() || timers_.front().due > now) return false;
+    std::pop_heap(timers_.begin(), timers_.end(), FiresLater);
+    fn = std::move(timers_.back().fn);
+    timers_.pop_back();
+    next_due_.store(timers_.empty()
+                        ? kNoTimer
+                        : timers_.front().due.time_since_epoch().count(),
+                    std::memory_order_relaxed);
+  }
+  fn();
+  return true;
 }
 
 Scheduler::Stats Scheduler::stats() const {
@@ -256,20 +296,29 @@ void Scheduler::WorkerMain(size_t index) {
   tl_scheduler = this;
   tl_worker_index = index;
   for (;;) {
+    // One due timer, then one task: timers fire between steps even while
+    // every worker is busy.
+    RunDueTimer();
     TaskRef handle = NextTask(index);
-    if (handle == nullptr) {
-      std::unique_lock<std::mutex> lock(sleep_mu_);
-      if (!stop_ && ready_.load(std::memory_order_acquire) == 0) {
-        parks_.fetch_add(1, std::memory_order_relaxed);
-        idle_cv_.wait(lock, [this] {
-          return stop_ || ready_.load(std::memory_order_acquire) > 0;
-        });
-        unparks_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (stop_) return;
+    if (handle != nullptr) {
+      RunTask(handle);
       continue;
     }
-    RunTask(handle);
+    std::unique_lock<std::mutex> lock(sleep_mu_);
+    if (stop_) return;
+    if (ready_.load(std::memory_order_acquire) > 0) continue;
+    if (!timers_.empty() && timers_.front().due <= Clock::now()) continue;
+    // Park until a task is enqueued, a timer is armed, or the earliest
+    // timer comes due. Every loop pass re-checks, so spurious wakes are
+    // harmless.
+    parks_.fetch_add(1, std::memory_order_relaxed);
+    if (timers_.empty()) {
+      idle_cv_.wait(lock);
+    } else {
+      idle_cv_.wait_until(lock, timers_.front().due);
+    }
+    unparks_.fetch_add(1, std::memory_order_relaxed);
+    if (stop_) return;
   }
 }
 

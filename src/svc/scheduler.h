@@ -24,21 +24,28 @@
 //    delay. I/O jobs must be one-shot (run to completion, never wait on
 //    another I/O job); they may block on queue back-pressure, which compute
 //    tasks relieve.
+//  * Timers: RunAt() runs a short callback on a compute worker, between
+//    task steps, once its due time has passed. Timers live in one heap; an
+//    idle worker waits on the idle condition variable until the earliest
+//    due time instead of indefinitely, so timers add no thread. A session
+//    finishing (due now) and a queued deadline expiring both run this way.
 //
 // Lifetime: the scheduler must outlive every execution whose tasks it runs
 // (executions wait for their outstanding tasks/jobs in Finish()). The
 // destructor stops the workers, drains queued I/O jobs, and drops any still
-// queued compute tasks un-stepped.
+// queued compute tasks un-stepped and any still pending timers unrun.
 
 #ifndef LAKEFED_SVC_SCHEDULER_H_
 #define LAKEFED_SVC_SCHEDULER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -64,6 +71,8 @@ class Task {
 
 class Scheduler {
  public:
+  using Clock = std::chrono::steady_clock;
+
   struct Config {
     // Compute workers. 0 = std::thread::hardware_concurrency() (min 1).
     size_t workers = 0;
@@ -113,6 +122,13 @@ class Scheduler {
   // completion in FIFO order as I/O threads free up.
   void SubmitIo(std::function<void()> job);
 
+  // Arms a timer: `fn` runs once on a compute worker, between task steps,
+  // as soon as `due` has passed (at once when it already has). Timers fire
+  // in due order, ties in arming order. `fn` must be short and must not
+  // block; it may arm timers, wake tasks and submit I/O jobs. Safe from any
+  // thread, including from inside Step() and from a timer callback.
+  void RunAt(Clock::time_point due, std::function<void()> fn);
+
   size_t num_workers() const { return worker_threads_.size(); }
   size_t num_io_threads() const { return io_thread_objs_.size(); }
   Stats stats() const;
@@ -129,8 +145,19 @@ class Scheduler {
     std::deque<TaskRef> tasks;
   };
 
+  struct Timer {
+    Clock::time_point due;
+    uint64_t seq;  // arming order, breaks ties between equal due times
+    std::function<void()> fn;
+  };
+  static constexpr Clock::rep kNoTimer = std::numeric_limits<Clock::rep>::max();
+  // Heap order for timers_: the earliest (due, seq) on top.
+  static bool FiresLater(const Timer& a, const Timer& b);
+
   void WorkerMain(size_t index);
   void IoMain();
+  // Pops and runs the earliest timer if it is due. False when none was.
+  bool RunDueTimer();
   // Enqueues a runnable handle: onto the calling worker's own deque when
   // `prefer_local` and the caller is one of our workers, else onto the
   // shared injector queue.
@@ -150,6 +177,13 @@ class Scheduler {
   std::deque<TaskRef> injector_;
   std::atomic<size_t> ready_{0};  // queued-but-unclaimed handles
   bool stop_ = false;             // guarded by sleep_mu_
+
+  // Timer heap (guarded by sleep_mu_), and its earliest due time in clock
+  // ticks, readable without the lock so a busy worker checks for a due
+  // timer between steps with one load (max = no timer).
+  std::vector<Timer> timers_;
+  uint64_t timer_seq_ = 0;
+  std::atomic<Clock::rep> next_due_{kNoTimer};
 
   // Auxiliary I/O pool.
   mutable std::mutex io_mu_;

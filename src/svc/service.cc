@@ -76,10 +76,11 @@ bool Submission::done() const {
 
 void Submission::Cancel() {
   cancelled_.store(true, std::memory_order_release);
+  if (FinishQueued(Status::Cancelled("cancelled while queued"))) return;
   std::lock_guard<std::mutex> lock(mu_);
-  // Holding mu_ makes this safe against the runner clearing `live_`: the
-  // stream outlives the pointer, and ResultStream::Cancel is thread-safe.
-  if (live_ != nullptr) live_->Cancel();
+  // Holding mu_ makes this safe against the completion hook taking the
+  // stream; a dispatch that has not stored it yet sees cancelled_ instead.
+  if (stream_ != nullptr) stream_->Cancel();
 }
 
 double Submission::queue_wait_ms() const {
@@ -101,6 +102,27 @@ void Submission::Complete(Result<fed::QueryAnswer> result) {
     done_ = true;
   }
   cv_.notify_all();
+}
+
+bool Submission::FinishQueued(Status status) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (done_ || dispatched_) return false;
+    result_ = std::move(status);
+    total_ms_ = clock_.ElapsedMillis();
+    queue_wait_ms_ = total_ms_;
+    done_ = true;
+  }
+  cv_.notify_all();
+  return true;
+}
+
+bool Submission::MarkDispatched() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (done_) return false;
+  dispatched_ = true;
+  queue_wait_ms_ = clock_.ElapsedMillis();
+  return true;
 }
 
 // ---------------------------------------------------------------------
@@ -126,10 +148,6 @@ QueryService::QueryService(const fed::FederatedEngine* engine,
   errors_counter_ = m->GetCounter("svc.sessions.errors");
   queue_wait_hist_ = m->GetHistogram("svc.queue_wait_ms");
   session_hist_ = m->GetHistogram("svc.session_ms");
-  runners_.reserve(run_slots_);
-  for (size_t i = 0; i < run_slots_; ++i) {
-    runners_.emplace_back([this] { RunnerMain(); });
-  }
   // Project live scheduler state into every engine metrics snapshot, so
   // /metrics and `.metrics` show queue depths and task-state counters
   // without the engine depending on svc. Removed in Shutdown.
@@ -151,11 +169,14 @@ Result<std::shared_ptr<Submission>> QueryService::Submit(
   if (timeout.has_value()) {
     sub->deadline_ = CancellationToken::Clock::now() + *timeout;
   }
+  std::vector<std::shared_ptr<Submission>> ready;
+  bool queued;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopped_) {
       return Status::Unavailable("query service is shut down");
     }
+    PruneLocked();
     if (QueueDepthLocked() >= config_.max_queued) {
       shed_counter_->Increment();
       return Status::ResourceExhausted(
@@ -165,9 +186,12 @@ Result<std::shared_ptr<Submission>> QueryService::Submit(
     (sub->priority_ == Priority::kInteractive ? interactive_ : batch_)
         .push_back(sub);
     queued_counter_->Increment();
+    ready = FillSlotsLocked();
+    queued = std::find(ready.begin(), ready.end(), sub) == ready.end();
     depth_gauge_->Set(static_cast<int64_t>(QueueDepthLocked()));
   }
-  cv_.notify_one();
+  if (queued && sub->deadline_.has_value()) ArmExpiry(sub);
+  for (const std::shared_ptr<Submission>& next : ready) Dispatch(next);
   return sub;
 }
 
@@ -184,35 +208,22 @@ void QueryService::Shutdown() {
   // so every Shutdown caller may run them.
   StopMonitoring();
   engine_->RemoveMetricsSampler(sampler_token_);
-  std::vector<std::shared_ptr<Submission>> orphaned;
-  std::vector<std::thread> runners;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (stopped_) {
-      // Another caller won the shutdown: wait for it to finish joining, so
-      // no thread returns from Shutdown() while runners are still alive —
-      // and no two threads ever join() the same std::thread.
-      cv_.wait(lock, [this] { return shutdown_done_; });
-      return;
-    }
+  std::unique_lock<std::mutex> lock(mu_);
+  if (!stopped_) {
     stopped_ = true;
-    orphaned.assign(interactive_.begin(), interactive_.end());
-    orphaned.insert(orphaned.end(), batch_.begin(), batch_.end());
-    interactive_.clear();
-    batch_.clear();
+    for (const auto& queue : {&interactive_, &batch_}) {
+      for (const std::shared_ptr<Submission>& sub : *queue) {
+        sub->FinishQueued(Status::Unavailable("query service shut down"));
+      }
+      queue->clear();
+    }
     depth_gauge_->Set(0);
-    runners.swap(runners_);
   }
-  cv_.notify_all();
-  for (const std::shared_ptr<Submission>& sub : orphaned) {
-    sub->Complete(Status::Unavailable("query service shut down"));
-  }
-  for (std::thread& t : runners) t.join();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_done_ = true;
-  }
-  cv_.notify_all();
+  // Running sessions finish on their own. Each completion hook releases
+  // its slot and completes its submission under mu_ and dispatches nothing
+  // more, so once running_ is 0 no hook touches the service again. Expiry
+  // timers touch only their submission.
+  idle_cv_.wait(lock, [this] { return running_ == 0; });
 }
 
 std::map<std::string, QueryService::TenantInfo> QueryService::Tenants()
@@ -406,20 +417,27 @@ size_t QueryService::QueueDepthLocked() const {
   return interactive_.size() + batch_.size();
 }
 
-std::shared_ptr<Submission> QueryService::PickLocked(
-    std::vector<std::shared_ptr<Submission>>* terminal) {
+void QueryService::PruneLocked() {
   const auto now = CancellationToken::Clock::now();
-  for (std::deque<std::shared_ptr<Submission>>* queue :
-       {&interactive_, &batch_}) {
-    for (auto it = queue->begin(); it != queue->end();) {
-      const std::shared_ptr<Submission>& sub = *it;
-      // Cancelled or expired while queued: terminal without a run slot.
-      if (sub->cancelled() ||
-          (sub->deadline_.has_value() && now >= *sub->deadline_)) {
-        terminal->push_back(sub);
-        it = queue->erase(it);
-        continue;
+  for (const auto& queue : {&interactive_, &batch_}) {
+    std::erase_if(*queue, [&](const std::shared_ptr<Submission>& sub) {
+      // An expired deadline whose timer has not fired yet expires here.
+      if (sub->deadline_.has_value() && now >= *sub->deadline_ &&
+          sub->FinishQueued(Status::DeadlineExceeded(
+              "deadline expired in admission queue"))) {
+        expired_counter_->Increment();
       }
+      return sub->done();
+    });
+  }
+}
+
+std::vector<std::shared_ptr<Submission>> QueryService::FillSlotsLocked() {
+  std::vector<std::shared_ptr<Submission>> ready;
+  for (const auto& queue : {&interactive_, &batch_}) {
+    for (auto it = queue->begin();
+         it != queue->end() && running_ < run_slots_;) {
+      const std::shared_ptr<Submission>& sub = *it;
       const size_t quota = QuotaFor(sub->tenant());
       if (quota != 0) {
         auto running = tenant_running_.find(sub->tenant());
@@ -428,69 +446,37 @@ std::shared_ptr<Submission> QueryService::PickLocked(
           continue;
         }
       }
-      std::shared_ptr<Submission> picked = sub;
-      queue->erase(it);
-      return picked;
-    }
-  }
-  return nullptr;
-}
-
-void QueryService::RunnerMain() {
-  for (;;) {
-    std::shared_ptr<Submission> sub;
-    std::vector<std::shared_ptr<Submission>> terminal;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      for (;;) {
-        if (stopped_) return;
-        sub = PickLocked(&terminal);
-        if (sub != nullptr || !terminal.empty()) break;
-        // Bounded wait: queued deadlines can expire with no other event to
-        // wake a runner, so re-scan periodically.
-        cv_.wait_for(lock, std::chrono::milliseconds(50));
-      }
-      if (sub != nullptr) {
+      // A submission cancelled or expired since the last prune is dropped.
+      if (sub->MarkDispatched()) {
         ++running_;
         ++tenant_running_[sub->tenant()];
+        ready.push_back(sub);
       }
-      depth_gauge_->Set(static_cast<int64_t>(QueueDepthLocked()));
+      it = queue->erase(it);
     }
-    for (const std::shared_ptr<Submission>& dead : terminal) {
-      if (dead->cancelled()) {
-        dead->Complete(Status::Cancelled("cancelled while queued"));
-      } else {
-        expired_counter_->Increment();
-        dead->Complete(
-            Status::DeadlineExceeded("deadline expired in admission queue"));
-      }
-    }
-    if (sub == nullptr) continue;
-    Result<fed::QueryAnswer> outcome = RunOne(sub);
-    // The slot is released before the waiter wakes, so stats() read after
-    // Wait() no longer counts this session as running.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --running_;
-      auto it = tenant_running_.find(sub->tenant());
-      if (it != tenant_running_.end() && --it->second == 0) {
-        tenant_running_.erase(it);
-      }
-      ++tenant_completed_[sub->tenant()];
-    }
-    sub->Complete(std::move(outcome));
-    // A finished session may unblock a quota-limited tenant: wake everyone.
-    cv_.notify_all();
   }
+  return ready;
 }
 
-Result<fed::QueryAnswer> QueryService::RunOne(
-    const std::shared_ptr<Submission>& sub) {
-  const double queue_wait_ms = sub->clock_.ElapsedMillis();
-  {
-    std::lock_guard<std::mutex> lock(sub->mu_);
-    sub->queue_wait_ms_ = queue_wait_ms;
-  }
+void QueryService::ArmExpiry(const std::shared_ptr<Submission>& sub) {
+  // The timer holds the submission weakly and touches nothing else of the
+  // service (the counter lives in the engine's registry), so it is safe
+  // whenever it fires; the queue entry is pruned at the next admission or
+  // completion.
+  scheduler_.RunAt(
+      *sub->deadline_,
+      [weak = std::weak_ptr<Submission>(sub), expired = expired_counter_] {
+        std::shared_ptr<Submission> queued = weak.lock();
+        if (queued != nullptr &&
+            queued->FinishQueued(Status::DeadlineExceeded(
+                "deadline expired in admission queue"))) {
+          expired->Increment();
+        }
+      });
+}
+
+void QueryService::Dispatch(const std::shared_ptr<Submission>& sub) {
+  const double queue_wait_ms = sub->queue_wait_ms();
   queue_wait_hist_->Record(queue_wait_ms);
 
   fed::QueryRequest request = std::move(sub->query_);
@@ -500,7 +486,9 @@ Result<fed::QueryAnswer> QueryService::RunOne(
         *sub->deadline_ - CancellationToken::Clock::now());
     if (remaining.count() <= 0) {
       expired_counter_->Increment();
-      return Status::DeadlineExceeded("deadline expired in admission queue");
+      Release(sub,
+              Status::DeadlineExceeded("deadline expired in admission queue"));
+      return;
     }
     request.timeout = remaining;
   }
@@ -545,32 +533,65 @@ Result<fed::QueryAnswer> QueryService::RunOne(
 
   admitted_counter_->Increment();
   live_gauge_->Add(1);
+  auto end_session = [this, sub, queue_wait_ms](
+                         Result<fed::QueryAnswer> outcome) {
+    live_gauge_->Add(-1);
+    if (outcome.ok()) {
+      completed_counter_->Increment();
+    } else {
+      errors_counter_->Increment();
+    }
+    session_hist_->Record(sub->clock_.ElapsedMillis() - queue_wait_ms);
+    Release(sub, std::move(outcome));
+  };
   Result<std::unique_ptr<fed::ResultStream>> stream =
       engine_->CreateSession(std::move(request));
-  Result<fed::QueryAnswer> outcome = Status::Internal("session not run");
   if (!stream.ok()) {
-    outcome = stream.status();
-  } else {
-    {
-      std::lock_guard<std::mutex> lock(sub->mu_);
-      sub->live_ = stream->get();
-    }
-    // A cancel that raced session creation: forward it to the live stream.
-    if (sub->cancelled()) (*stream)->Cancel();
-    outcome = (*stream)->Drain();
-    {
-      std::lock_guard<std::mutex> lock(sub->mu_);
-      sub->live_ = nullptr;
-    }
+    end_session(stream.status());
+    return;
   }
-  live_gauge_->Add(-1);
-  if (outcome.ok()) {
-    completed_counter_->Increment();
-  } else {
-    errors_counter_->Increment();
+  fed::ResultStream* live = stream->get();
+  {
+    std::lock_guard<std::mutex> lock(sub->mu_);
+    sub->stream_ = std::move(*stream);
   }
-  session_hist_->Record(sub->clock_.ElapsedMillis() - queue_wait_ms);
-  return outcome;
+  // A cancel that raced dispatch: forward it to the live stream.
+  if (sub->cancelled()) live->Cancel();
+  // The last touch of the service and the stream here: the session may
+  // complete, and the service shut down, as soon as collection starts.
+  live->Collect(std::move(end_session));
+}
+
+void QueryService::Release(const std::shared_ptr<Submission>& sub,
+                           Result<fed::QueryAnswer> outcome) {
+  // Taken out under the submission's lock, so Cancel() no longer reaches
+  // the stream; it is destroyed when this hook returns.
+  std::unique_ptr<fed::ResultStream> stream;
+  {
+    std::lock_guard<std::mutex> lock(sub->mu_);
+    stream = std::move(sub->stream_);
+  }
+  std::vector<std::shared_ptr<Submission>> ready;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    --running_;
+    auto it = tenant_running_.find(sub->tenant());
+    if (it != tenant_running_.end() && --it->second == 0) {
+      tenant_running_.erase(it);
+    }
+    ++tenant_completed_[sub->tenant()];
+    // Completed after the slot is released, so stats() read after Wait()
+    // no longer counts this session, and before mu_ is, so Shutdown()
+    // cannot return ahead of it.
+    sub->Complete(std::move(outcome));
+    PruneLocked();
+    ready = FillSlotsLocked();
+    depth_gauge_->Set(static_cast<int64_t>(QueueDepthLocked()));
+    // Notified under mu_: once it is released, Shutdown() may return, and
+    // nothing below touches the service unless `ready` holds a slot.
+    if (running_ == 0) idle_cv_.notify_all();
+  }
+  for (const std::shared_ptr<Submission>& next : ready) Dispatch(next);
 }
 
 }  // namespace lakefed::svc

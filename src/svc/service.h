@@ -18,7 +18,11 @@
 // Execution substrate: every admitted session runs its operators on the
 // service's shared svc::Scheduler worker pool (PlanOptions::scheduler, unless
 // the request names a pool of its own), so total thread count is workers +
-// I/O pool + run slots — independent of how many sessions are in flight.
+// I/O pool — independent of how many sessions are in flight. A run slot is
+// a count, not a thread: Submit() creates a session on the calling thread
+// when a slot is free, the session's own dataflow collects its answer, and
+// its completion hook (a scheduler worker) releases the slot and creates
+// the next eligible session. A queued deadline is a scheduler timer.
 //
 // Observability: service gauges (svc.sessions.live,
 // svc.admission.queue_depth), counters (svc.admission.{admitted,shed,
@@ -39,7 +43,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -112,9 +115,10 @@ class Submission {
 
   bool done() const;
 
-  // Cooperative cancel: a queued submission completes with kCancelled
-  // without occupying a run slot; a running one has its session token
-  // cancelled (the stream unwinds and reports kCancelled). Idempotent.
+  // Cooperative cancel: a queued submission completes with kCancelled at
+  // once, without occupying a run slot; a running one has its session
+  // token cancelled (the stream unwinds and reports kCancelled).
+  // Idempotent.
   void Cancel();
 
   const std::string& tenant() const { return tenant_; }
@@ -131,6 +135,13 @@ class Submission {
   Submission(std::string tenant, Priority priority, fed::QueryRequest query);
 
   void Complete(Result<fed::QueryAnswer> result);
+  // Completes a submission that is still queued with `status` (cancelled,
+  // expired, shut down). False when it was dispatched or is done already;
+  // exactly one of FinishQueued and MarkDispatched wins.
+  bool FinishQueued(Status status);
+  // Takes the submission out of the queue into a run slot. False when it
+  // reached a terminal state first.
+  bool MarkDispatched();
   bool cancelled() const { return cancelled_.load(std::memory_order_acquire); }
 
   const std::string tenant_;
@@ -144,8 +155,10 @@ class Submission {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   bool done_ = false;
+  bool dispatched_ = false;
   std::atomic<bool> cancelled_{false};
-  fed::ResultStream* live_ = nullptr;  // the running stream, while running
+  // The session, while it runs; the completion hook takes it out.
+  std::unique_ptr<fed::ResultStream> stream_;
   std::optional<Result<fed::QueryAnswer>> result_;
   double queue_wait_ms_ = 0;
   double total_ms_ = 0;
@@ -169,8 +182,9 @@ class QueryService {
   // Blocking convenience: Submit + Wait.
   Result<fed::QueryAnswer> Execute(ServiceRequest request);
 
-  // Fails every queued request with kUnavailable, waits for running
-  // sessions to finish, stops the run slots. Idempotent.
+  // Fails every queued request with kUnavailable and waits for running
+  // sessions to finish. Afterwards no completion hook or timer touches
+  // the service. Idempotent, and safe from several threads at once.
   void Shutdown();
 
   // Introspection (the shell's `.tenants`).
@@ -226,15 +240,23 @@ class QueryService {
  private:
   size_t QuotaFor(const std::string& tenant) const;
   size_t QueueDepthLocked() const;
-  // Next dispatchable submission (priority order, quota-respecting);
-  // cancelled/expired entries found during the scan are moved to
-  // `terminal` for completion outside the lock.
-  std::shared_ptr<Submission> PickLocked(
-      std::vector<std::shared_ptr<Submission>>* terminal);
-  void RunnerMain();
-  // Runs an admitted submission and returns its outcome; the caller
-  // releases the run slot before completing the submission with it.
-  Result<fed::QueryAnswer> RunOne(const std::shared_ptr<Submission>& sub);
+  // Drops queued submissions that reached a terminal state (cancelled,
+  // expired by their timer) and expires those whose deadline has passed.
+  void PruneLocked();
+  // Fills free run slots: picks queued submissions in priority order,
+  // skipping tenants at quota, and reserves their slots. The caller
+  // dispatches them after releasing the lock.
+  std::vector<std::shared_ptr<Submission>> FillSlotsLocked();
+  // Arms the timer that expires a queued submission at its deadline.
+  void ArmExpiry(const std::shared_ptr<Submission>& sub);
+  // The dispatch step: creates the session of a submission that holds a
+  // reserved slot and has it collected; the session's completion hook
+  // calls Release.
+  void Dispatch(const std::shared_ptr<Submission>& sub);
+  // Releases the slot, charges the tenant, completes the submission with
+  // `outcome` and dispatches what the freed slot admits.
+  void Release(const std::shared_ptr<Submission>& sub,
+               Result<fed::QueryAnswer> outcome);
 
   const fed::FederatedEngine* engine_;
   ServiceConfig config_;
@@ -242,15 +264,13 @@ class QueryService {
   size_t run_slots_ = 0;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable idle_cv_;  // Shutdown() waits for running_ == 0
   std::deque<std::shared_ptr<Submission>> interactive_;
   std::deque<std::shared_ptr<Submission>> batch_;
   std::map<std::string, size_t> tenant_running_;
   std::map<std::string, size_t> tenant_completed_;
-  size_t running_ = 0;
+  size_t running_ = 0;  // reserved run slots
   bool stopped_ = false;
-  bool shutdown_done_ = false;  // the winning Shutdown() joined all runners
-  std::vector<std::thread> runners_;
 
   // Projects svc.scheduler.* series into an engine metrics snapshot (the
   // sampler body registered with AddMetricsSampler).

@@ -88,33 +88,6 @@ TEST_F(FedBatchTest, PartialBatchFlushesOnClose) {
   EXPECT_EQ(SerializeAnswers(collected), oracle);
 }
 
-// Row-at-a-time Next() is a shim over NextBatch(); interleaving the two
-// on one stream must still deliver every answer exactly once.
-TEST_F(FedBatchTest, NextAndNextBatchInterleave) {
-  PlanOptions options;
-  options.batch_size = 8;
-  const std::vector<std::string> oracle =
-      OracleAnswers(*lake_, kTwoSourceQuery);
-
-  QueryRequest request = QueryRequest::Text(kTwoSourceQuery, options);
-  auto stream = lake_->engine->CreateSession(std::move(request));
-  ASSERT_TRUE(stream.ok()) << stream.status();
-
-  QueryAnswer collected;
-  collected.variables = (*stream)->variables();
-  bool more = true;
-  while (more) {
-    rdf::Binding row;
-    if (!(*stream)->Next(&row)) break;
-    collected.rows.push_back(std::move(row));
-    RowBatch batch;
-    more = (*stream)->NextBatch(&batch);
-    for (rdf::Binding& r : batch) collected.rows.push_back(std::move(r));
-  }
-  ASSERT_TRUE((*stream)->Finish().ok());
-  EXPECT_EQ(SerializeAnswers(collected), oracle);
-}
-
 // Cancelling mid-stream may truncate the answer but must never tear a
 // row (all delivered rows are well-formed oracle rows) nor duplicate one
 // beyond its oracle multiplicity.

@@ -118,9 +118,9 @@ TEST(FedRobustnessTest, BlockingOperatorsEmitNothingBeforeLeafError) {
     ASSERT_NE(engine, nullptr);
     auto stream = engine->CreateSession(QueryRequest::Text(query, {}));
     ASSERT_TRUE(stream.ok()) << stream.status();
-    rdf::Binding row;
+    RowBatch batch;
     size_t rows = 0;
-    while ((*stream)->Next(&row)) ++rows;
+    while ((*stream)->NextBatch(&batch)) rows += batch.size();
     EXPECT_TRUE((*stream)->Finish().IsIoError());
     EXPECT_EQ(rows, 0u);
   }
@@ -146,8 +146,8 @@ TEST(FedRobustnessTest, CancelledLegsAreNotChargedToTheirSources) {
     request.timeout = std::chrono::milliseconds(100);
     auto stream = engine->CreateSession(std::move(request));
     ASSERT_TRUE(stream.ok()) << stream.status();
-    rdf::Binding row;
-    while ((*stream)->Next(&row)) {
+    RowBatch batch;
+    while ((*stream)->NextBatch(&batch)) {
     }
     EXPECT_TRUE((*stream)->Finish().IsDeadlineExceeded());
     EXPECT_TRUE((*stream)->stats().failed_sources.empty());

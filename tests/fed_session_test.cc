@@ -25,6 +25,14 @@ constexpr char kPred[] = "http://t/p";
 const char kStarQuery[] =
     "SELECT ?s ?o WHERE { ?s a <http://t/C> ; <http://t/p> ?o . }";
 
+// Pulls a stream to its end; returns the rows delivered.
+size_t CountRows(ResultStream* stream) {
+  RowBatch batch;
+  size_t rows = 0;
+  while (stream->NextBatch(&batch)) rows += batch.size();
+  return rows;
+}
+
 // A scripted source implementing the token-aware wrapper contract: sleeps
 // through the token (so cancellation interrupts the pacing itself) and
 // counts live executions, which lets tests assert that teardown really
@@ -91,7 +99,7 @@ std::unique_ptr<FederatedEngine> MakeEngine(
 }
 
 // The tentpole property: with a fast and a (very) slow source behind the
-// Gamma3 network, the first Next() returns long before the slow source
+// Gamma3 network, the first NextBatch() returns long before the slow source
 // could have finished, and cancelling afterwards joins every thread fast.
 TEST(FedSessionTest, FirstRowArrivesBeforeSlowestSourceFinishes) {
   std::vector<PacedWrapper*> wrappers;
@@ -106,14 +114,14 @@ TEST(FedSessionTest, FirstRowArrivesBeforeSlowestSourceFinishes) {
   auto stream = engine->CreateSession(QueryRequest::Text(kStarQuery, options));
   ASSERT_TRUE(stream.ok()) << stream.status();
 
-  rdf::Binding row;
-  ASSERT_TRUE((*stream)->Next(&row));
+  RowBatch batch;
+  ASSERT_TRUE((*stream)->NextBatch(&batch));
   const double first_row_seconds = sw.ElapsedSeconds();
   // The slow source alone needs >= 500 * 20ms = 10s; the first answer must
   // arrive while it is still scanning.
   EXPECT_LT(first_row_seconds, 5.0);
   EXPECT_LT(wrappers[1]->rows_shipped(), 500);
-  EXPECT_EQ((*stream)->trace().num_answers(), 1u);
+  EXPECT_EQ((*stream)->trace().num_answers(), batch.size());
 
   (*stream)->Cancel();
   Status st = (*stream)->Finish();
@@ -131,12 +139,14 @@ TEST(FedSessionTest, CancelMidQueryStopsWrapperThreads) {
   auto stream = engine->CreateSession(QueryRequest::Text(kStarQuery, {}));
   ASSERT_TRUE(stream.ok()) << stream.status();
 
-  rdf::Binding row;
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE((*stream)->Next(&row));
+  RowBatch batch;
+  for (size_t rows = 0; rows < 3; rows += batch.size()) {
+    ASSERT_TRUE((*stream)->NextBatch(&batch));
+  }
 
   Stopwatch sw;
   (*stream)->Cancel();
-  EXPECT_FALSE((*stream)->Next(&row));  // stream ends after cancellation
+  EXPECT_FALSE((*stream)->NextBatch(&batch));  // ends after cancellation
   Status st = (*stream)->Finish();      // joins the wrapper thread
   EXPECT_TRUE(st.IsCancelled()) << st;
   EXPECT_LT(sw.ElapsedSeconds(), 2.0);
@@ -154,8 +164,8 @@ TEST(FedSessionTest, AbandonedStreamCancelsOnDestruction) {
   {
     auto stream = engine->CreateSession(QueryRequest::Text(kStarQuery, {}));
     ASSERT_TRUE(stream.ok()) << stream.status();
-    rdf::Binding row;
-    ASSERT_TRUE((*stream)->Next(&row));
+    RowBatch batch;
+    ASSERT_TRUE((*stream)->NextBatch(&batch));
     // Dropped without Cancel()/Finish(): the destructor must tear down.
   }
   EXPECT_LT(sw.ElapsedSeconds(), 2.0);
@@ -171,9 +181,7 @@ TEST(FedSessionTest, DeadlineExpiryReturnsDeadlineExceeded) {
   Stopwatch sw;
   auto stream = engine->CreateSession(std::move(request));
   ASSERT_TRUE(stream.ok()) << stream.status();
-  rdf::Binding row;
-  size_t rows = 0;
-  while ((*stream)->Next(&row)) ++rows;
+  const size_t rows = CountRows(stream->get());
   Status st = (*stream)->Finish();
   EXPECT_TRUE(st.IsDeadlineExceeded()) << st;
   EXPECT_LT(sw.ElapsedSeconds(), 5.0);
@@ -204,9 +212,7 @@ TEST(FedSessionTest, AggregateSessionDeadlineExpiresPromptly) {
   Stopwatch sw;
   auto stream = engine->CreateSession(std::move(request));
   ASSERT_TRUE(stream.ok()) << stream.status();
-  rdf::Binding row;
-  size_t rows = 0;
-  while ((*stream)->Next(&row)) ++rows;
+  const size_t rows = CountRows(stream->get());
   Status st = (*stream)->Finish();
   EXPECT_TRUE(st.IsDeadlineExceeded()) << st;
   EXPECT_LT(sw.ElapsedSeconds(), 2.0);
@@ -246,9 +252,7 @@ TEST(FedSessionTest, DeadlineInterruptsNetworkDelayMidTransfer) {
   Stopwatch sw;
   auto stream = engine->CreateSession(std::move(request));
   ASSERT_TRUE(stream.ok()) << stream.status();
-  rdf::Binding row;
-  while ((*stream)->Next(&row)) {
-  }
+  CountRows(stream->get());
   EXPECT_TRUE((*stream)->Finish().IsDeadlineExceeded());
   EXPECT_LT(sw.ElapsedSeconds(), 1.5);
 }
@@ -267,9 +271,7 @@ TEST(FedSessionTest, ConcurrentSessionsOnOneEngine) {
           ++failures;
           continue;
         }
-        rdf::Binding row;
-        size_t rows = 0;
-        while ((*stream)->Next(&row)) ++rows;
+        const size_t rows = CountRows(stream->get());
         if (!(*stream)->Finish().ok() || rows != 80u) ++failures;
       }
     });
@@ -297,8 +299,8 @@ TEST(FedSessionTest, UndrainedStreamsDoNotStarveAnotherSession) {
   for (int i = 0; i < 12; ++i) {
     auto stream = engine->CreateSession(held_request);
     ASSERT_TRUE(stream.ok()) << stream.status();
-    rdf::Binding row;
-    ASSERT_TRUE((*stream)->Next(&row)) << "held stream " << i;
+    RowBatch batch;
+    ASSERT_TRUE((*stream)->NextBatch(&batch)) << "held stream " << i;
     held.push_back(std::move(*stream));
   }
 
@@ -414,9 +416,7 @@ TEST(FedSessionTest, StreamedAnswersArriveIncrementally) {
   ASSERT_NE(engine, nullptr);
   auto stream = engine->CreateSession(QueryRequest::Text(kStarQuery, {}));
   ASSERT_TRUE(stream.ok()) << stream.status();
-  rdf::Binding row;
-  size_t rows = 0;
-  while ((*stream)->Next(&row)) ++rows;
+  const size_t rows = CountRows(stream->get());
   ASSERT_TRUE((*stream)->Finish().ok());
   EXPECT_EQ(rows, 40u);
   const AnswerTrace& trace = (*stream)->trace();

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -180,6 +181,101 @@ TEST(SchedulerTest, DefaultConfigSizesPools) {
   Scheduler sched;
   EXPECT_GE(sched.num_workers(), 1u);
   EXPECT_GE(sched.num_io_threads(), 4u);
+}
+
+// ---------------------------------------------------------------------
+// Timers.
+
+TEST(SchedulerTimerTest, TimersFireInDueOrder) {
+  Scheduler sched(Scheduler::Config{1, 1});
+  std::mutex mu;
+  std::vector<int> fired;
+  const auto base = Scheduler::Clock::now() + std::chrono::milliseconds(20);
+  // Armed out of order; the two equal due times keep arming order.
+  for (int ms : {30, 10, 20, 0}) {
+    sched.RunAt(base + std::chrono::milliseconds(ms), [&mu, &fired, ms] {
+      std::lock_guard<std::mutex> lock(mu);
+      fired.push_back(ms);
+    });
+  }
+  sched.RunAt(base + std::chrono::milliseconds(20), [&mu, &fired] {
+    std::lock_guard<std::mutex> lock(mu);
+    fired.push_back(21);
+  });
+  ASSERT_TRUE(WaitFor([&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return fired.size() == 5;
+  }));
+  EXPECT_EQ(fired, (std::vector<int>{0, 10, 20, 21, 30}));
+}
+
+TEST(SchedulerTimerTest, PastDueTimerFiresPromptly) {
+  Scheduler sched(Scheduler::Config{1, 1});
+  std::atomic<bool> fired{false};
+  const auto armed = Scheduler::Clock::now();
+  sched.RunAt(armed - std::chrono::seconds(1), [&fired] { fired = true; });
+  ASSERT_TRUE(WaitFor([&] { return fired.load(); }));
+  EXPECT_LT(Scheduler::Clock::now() - armed, std::chrono::milliseconds(500));
+}
+
+TEST(SchedulerTimerTest, TimerWakesParkedWorkers) {
+  Scheduler sched(Scheduler::Config{2, 1});
+  // Let both workers park with no timer armed (an indefinite wait).
+  ASSERT_TRUE(WaitFor([&] { return sched.stats().parks >= 2; }));
+  const uint64_t unparks = sched.stats().unparks;
+  std::atomic<bool> fired{false};
+  const auto due = Scheduler::Clock::now() + std::chrono::milliseconds(30);
+  sched.RunAt(due, [&fired] { fired = true; });
+  ASSERT_TRUE(WaitFor([&] { return fired.load(); }));
+  EXPECT_GE(Scheduler::Clock::now(), due);
+  EXPECT_GT(sched.stats().unparks, unparks);
+  // No task ran: the timer fired on a worker that was parked.
+  EXPECT_EQ(sched.stats().steps, 0u);
+}
+
+// Yields until the flag is set, keeping a worker busy.
+class SpinTask : public Task {
+ public:
+  SpinTask(std::atomic<bool>* stop, std::atomic<int>* steps)
+      : stop_(stop), steps_(steps) {}
+  TaskResult Step() override {
+    steps_->fetch_add(1);
+    return stop_->load() ? TaskResult::kDone : TaskResult::kYield;
+  }
+
+ private:
+  std::atomic<bool>* stop_;
+  std::atomic<int>* steps_;
+};
+
+TEST(SchedulerTimerTest, TimerFiresWhileWorkersAreBusy) {
+  Scheduler sched(Scheduler::Config{1, 1});
+  std::atomic<bool> stop{false};
+  std::atomic<int> steps{0};
+  // A task that keeps yielding holds the only worker busy.
+  auto ref = sched.Register(std::make_unique<SpinTask>(&stop, &steps));
+  sched.Wake(ref);
+  ASSERT_TRUE(WaitFor([&] { return steps.load() > 100; }));
+  std::atomic<bool> fired{false};
+  sched.RunAt(Scheduler::Clock::now() + std::chrono::milliseconds(5),
+              [&fired] { fired = true; });
+  EXPECT_TRUE(WaitFor([&] { return fired.load(); }));
+  stop = true;
+}
+
+TEST(SchedulerTimerTest, DestructorDropsPendingTimers) {
+  std::atomic<bool> fired{false};
+  auto pinned = std::make_shared<int>(7);
+  const auto start = Scheduler::Clock::now();
+  {
+    Scheduler sched(Scheduler::Config{1, 1});
+    sched.RunAt(Scheduler::Clock::now() + std::chrono::hours(1),
+                [&fired, pinned] { fired = true; });
+    EXPECT_EQ(pinned.use_count(), 2);
+  }
+  EXPECT_FALSE(fired.load());
+  EXPECT_EQ(pinned.use_count(), 1);  // the closure was destroyed, unrun
+  EXPECT_LT(Scheduler::Clock::now() - start, std::chrono::seconds(5));
 }
 
 // ---------------------------------------------------------------------
