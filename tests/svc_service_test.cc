@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -211,22 +212,115 @@ TEST_F(QueryServiceTest, ShutdownFailsQueuedRequests) {
 }
 
 // Shutdown is documented idempotent and must also be safe concurrently: no
-// caller may return while runners are still alive, and no two callers may
-// join the same std::thread (regression for a double-join race).
+// caller may return while a session is still running or a submission is
+// still incomplete.
 TEST_F(QueryServiceTest, ConcurrentShutdownIsSafe) {
   ServiceConfig config;
   config.scheduler.workers = 2;
   config.max_concurrent_sessions = 2;
   QueryService service(lake_->engine.get(), config);
-  auto sub = service.Submit(Request("Q1"));
-  ASSERT_TRUE(sub.ok());
+  std::vector<std::shared_ptr<Submission>> subs;
+  for (const char* id : {"Q1", "Q2", "Q3", "Q4"}) {
+    auto sub = service.Submit(Request(id));
+    ASSERT_TRUE(sub.ok());
+    subs.push_back(*sub);
+  }
   std::vector<std::thread> callers;
   for (int i = 0; i < 4; ++i) {
     callers.emplace_back([&service] { service.Shutdown(); });
   }
   for (std::thread& t : callers) t.join();
-  EXPECT_TRUE((*sub)->done());
+  for (const auto& sub : subs) EXPECT_TRUE(sub->done());
+  EXPECT_EQ(service.stats().running, 0u);
   EXPECT_FALSE(service.Submit(Request("Q1")).ok());
+}
+
+// A queued deadline is a scheduler timer: it fires while the only run slot
+// is still busy, instead of waiting for the slot or a periodic scan.
+TEST_F(QueryServiceTest, QueuedDeadlineFiresWhileSlotIsBusy) {
+  ServiceConfig config;
+  config.scheduler.workers = 1;
+  config.max_concurrent_sessions = 1;
+  QueryService service(lake_->engine.get(), config);
+  ServiceRequest slow = Request("Q4");
+  slow.query.options.network = net::NetworkProfile::Gamma3();
+  auto blocker = service.Submit(std::move(slow));
+  ASSERT_TRUE(blocker.ok());
+  ServiceRequest doomed = Request("Q1");
+  doomed.query.timeout = std::chrono::milliseconds(1);
+  auto sub = service.Submit(std::move(doomed));
+  ASSERT_TRUE(sub.ok());
+  const Result<fed::QueryAnswer>& outcome = (*sub)->Wait();
+  EXPECT_TRUE(!outcome.ok() && outcome.status().IsDeadlineExceeded())
+      << (outcome.ok() ? "ok" : outcome.status().ToString());
+  EXPECT_FALSE((*blocker)->done());
+  EXPECT_EQ(service.stats().expired, 1u);
+  (*blocker)->Cancel();
+  (*blocker)->Wait();
+}
+
+size_t ThreadCount() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+// A run slot is a count, not a thread: the service starts exactly the
+// scheduler's workers and I/O threads, whatever its slot count.
+TEST_F(QueryServiceTest, StartsOnlyThePoolThreads) {
+  ServiceConfig config;
+  config.scheduler.workers = 2;
+  config.scheduler.io_threads = 3;
+  config.max_concurrent_sessions = 16;
+  const size_t before = ThreadCount();
+  QueryService service(lake_->engine.get(), config);
+  EXPECT_EQ(ThreadCount() - before, 5u);
+  ASSERT_TRUE(service.Execute(Request("Q1")).ok());
+  EXPECT_EQ(ThreadCount() - before, 5u);
+}
+
+TEST_F(QueryServiceTest, DroppedSubmissionStillReleasesItsSlot) {
+  ServiceConfig config;
+  config.scheduler.workers = 1;
+  config.max_concurrent_sessions = 1;
+  QueryService service(lake_->engine.get(), config);
+  ASSERT_TRUE(service.Submit(Request("Q2")).ok());  // handle dropped
+  Result<fed::QueryAnswer> answer = service.Execute(Request("Q1"));
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(SerializeAnswers(*answer),
+            OracleAnswers(*lake_, lslod::FindQuery("Q1")->sparql));
+  EXPECT_EQ(service.stats().running, 0u);
+  EXPECT_EQ(service.stats().completed, 2u);
+}
+
+// Cancel() races dispatch, collection and completion: every outcome is a
+// cancellation or the whole, exact answer.
+TEST_F(QueryServiceTest, CancelRacingDispatchIsCancelledOrComplete) {
+  const std::vector<std::string> oracle =
+      OracleAnswers(*lake_, lslod::FindQuery("Q1")->sparql);
+  ServiceConfig config;
+  config.scheduler.workers = 2;
+  config.max_concurrent_sessions = 2;
+  QueryService service(lake_->engine.get(), config);
+  for (int i = 0; i < 40; ++i) {
+    auto sub = service.Submit(Request("Q1"));
+    ASSERT_TRUE(sub.ok());
+    std::thread canceller([&sub, i] {
+      if (i % 2 == 0) std::this_thread::yield();
+      (*sub)->Cancel();
+    });
+    const Result<fed::QueryAnswer>& outcome = (*sub)->Wait();
+    canceller.join();
+    if (outcome.ok()) {
+      EXPECT_EQ(SerializeAnswers(*outcome), oracle);
+    } else {
+      EXPECT_TRUE(outcome.status().IsCancelled()) << outcome.status();
+    }
+  }
+  EXPECT_EQ(service.stats().running, 0u);
 }
 
 // The stress mix: >=64 simultaneous sessions across tenants and priorities,
