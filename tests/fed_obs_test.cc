@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "common/string_util.h"
 #include "fed/engine.h"
 #include "fed_test_util.h"
@@ -307,6 +310,34 @@ TEST_F(FedObsTest, EveryViewRendersTheSameOperatorRecords) {
     EXPECT_EQ(drained.estimated_rows, profiled.estimated_rows)
         << profiled.label;
   }
+}
+
+// Push waits are real: an operator whose output queue is full parks on it
+// and records the wait when it resumes. A cross product larger than one
+// operator queue (4096 rows), read through NextBatch() only after the
+// dataflow has parked on the root queue, must show it on the root record.
+TEST_F(FedObsTest, ParkedRootOperatorRecordsPushWaits) {
+  const std::string query =
+      "PREFIX dsv: <http://lslod.example.org/diseasome/vocab#> "
+      "SELECT ?d ?g ?e WHERE { ?d a dsv:Disease . ?g a dsv:Gene . "
+      "?e a dsv:Disease . }";
+  auto stream = lake_->engine->CreateSession(QueryRequest::Text(query, {}));
+  ASSERT_TRUE(stream.ok()) << stream.status();
+  // Nobody reads yet: the root operator fills its queue and parks.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  RowBatch batch;
+  size_t rows = 0;
+  while ((*stream)->NextBatch(&batch)) rows += batch.size();
+  ASSERT_TRUE((*stream)->Finish().ok());
+  ASSERT_GT(rows, 4096u);
+  const std::vector<obs::OperatorRuntime>& ops =
+      (*stream)->operator_runtime();
+  ASSERT_FALSE(ops.empty());
+  // Operators are recorded in spawn order, children first: the root last.
+  const obs::OperatorRuntime& root = ops.back();
+  EXPECT_EQ(root.rows, rows) << root.label;
+  EXPECT_GT(root.push_waits, 0u) << root.label;
+  EXPECT_GT(root.push_wait_ms, 0.0) << root.label;
 }
 
 }  // namespace
