@@ -2,30 +2,29 @@
 // connect leaf jobs, operator tasks and the consuming client in the
 // federated engine (the ANAPSID-style adaptive dataflow).
 //
+// Elements move in batches (morsels): PushBatch moves a whole vector under
+// one lock acquisition and PopBatch drains up to a maximum count under one.
+// Capacity is counted in elements, so back-pressure granularity does not
+// depend on batch size — a batch larger than the free space is admitted in
+// segments, waiting in between.
+//
 // Semantics:
-//  * Push blocks while the queue is full (back-pressure).
-//  * Pop blocks while the queue is empty and not closed.
-//  * Close() wakes all waiters; after close, Push is rejected and Pop drains
-//    remaining items, then reports exhaustion.
-//
-// The token-aware overloads additionally observe a CancellationToken:
-//  * Push(item, token) returns false and Pop(token) returns nullopt as soon
-//    as the token is cancelled — Pop does NOT drain remaining items, so a
-//    cancelled dataflow tears down promptly.
-//  * A token deadline bounds every wait, so a thread blocked on a full or
-//    empty queue notices the expiry without outside help.
-//  * Explicit Cancel() does not signal the queue's own condition variables;
-//    the session wires `token.OnCancel([q] { q->Close(); })` for each queue
-//    so blocked waiters wake immediately (closing is idempotent).
-//
-// Batch transfer (the morsel dataflow path): PushBatch moves a whole vector
-// of elements under one lock acquisition and PopBatch drains up to a
-// maximum count under one lock acquisition. Both follow the token-aware
-// close/cancel/deadline semantics above; capacity is still counted in
-// elements, so back-pressure granularity is unchanged — a batch larger
-// than the free space is admitted in segments, waiting in between. Waits
-// are attributed once per batch call and the occupancy sample is taken
-// once per successful batch push.
+//  * PushBatch blocks while the queue is full (back-pressure).
+//  * PopBatch blocks while the queue is empty and not closed.
+//  * Close() wakes all waiters; after close, pushes are rejected and pops
+//    drain the remaining elements, then report exhaustion.
+//  * Both observe an optional CancellationToken: they give up as soon as
+//    it is cancelled — PopBatch does NOT drain remaining elements, so a
+//    cancelled dataflow tears down promptly — and its deadline bounds
+//    every wait, so a thread blocked on a full or empty queue notices the
+//    expiry without outside help. Explicit Cancel() does not signal the
+//    queue's own condition variables; the session wires
+//    `token.OnCancel([q] { q->Close(); })` for each queue so blocked
+//    waiters wake immediately (closing is idempotent).
+//  * TryPushBatch / TryPopBatch never block; cooperative tasks pair them
+//    with the readiness listeners.
+// Waits are attributed once per batch call and the occupancy sample is
+// taken once per successful batch push.
 
 #ifndef LAKEFED_COMMON_BLOCKING_QUEUE_H_
 #define LAKEFED_COMMON_BLOCKING_QUEUE_H_
@@ -37,7 +36,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -106,180 +104,14 @@ class BlockingQueue {
     writable_listeners_.push_back(std::move(fn));
   }
 
-  // Blocks until there is room. Returns false (and drops the item) if the
-  // queue was closed.
-  bool Push(T item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    const bool must_wait = !closed_ && items_.size() >= capacity_;
-    double wait_ms = 0;
-    if (must_wait && observer_ != nullptr) {
-      Stopwatch wait;
-      not_full_.wait(lock,
-                     [&] { return closed_ || items_.size() < capacity_; });
-      wait_ms = wait.ElapsedMillis();
-    } else if (must_wait) {
-      not_full_.wait(lock,
-                     [&] { return closed_ || items_.size() < capacity_; });
-    }
-    if (closed_) {
-      lock.unlock();
-      if (observer_ != nullptr && must_wait) observer_->OnPushWait(wait_ms);
-      return false;
-    }
-    const bool was_empty = items_.empty();
-    items_.push_back(std::move(item));
-    const size_t depth = items_.size();
-    lock.unlock();
-    if (push_counter_ != nullptr) {
-      push_counter_->fetch_add(1, std::memory_order_relaxed);
-    }
-    if (observer_ != nullptr) {
-      if (must_wait) observer_->OnPushWait(wait_ms);
-      observer_->OnDepth(depth);
-    }
-    not_empty_.notify_one();
-    if (was_empty) NotifyReadable();
-    return true;
-  }
-
-  // Blocks until an item is available or the queue is closed and drained.
-  // Returns nullopt on exhaustion.
-  std::optional<T> Pop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    const bool must_wait = !closed_ && items_.empty();
-    double wait_ms = 0;
-    if (must_wait && observer_ != nullptr) {
-      Stopwatch wait;
-      not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-      wait_ms = wait.ElapsedMillis();
-    } else if (must_wait) {
-      not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    }
-    if (items_.empty()) {  // closed and drained
-      lock.unlock();
-      if (observer_ != nullptr && must_wait) observer_->OnPopWait(wait_ms);
-      return std::nullopt;
-    }
-    const bool was_full = items_.size() >= capacity_;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    if (observer_ != nullptr && must_wait) observer_->OnPopWait(wait_ms);
-    not_full_.notify_one();
-    if (was_full) NotifyWritable();
-    return item;
-  }
-
-  // Token-aware Push: additionally gives up (returning false) once `token`
-  // is cancelled or its deadline passes. The token check runs outside the
-  // queue lock — a cancellation callback may close this very queue.
-  bool Push(T item, const CancellationToken& token) {
-    double wait_ms = 0;
-    bool waited = false;
-    for (;;) {
-      if (token.IsCancelled()) {
-        ReportPushWait(waited, wait_ms);
-        return false;
-      }
-      std::unique_lock<std::mutex> lock(mu_);
-      if (closed_) {
-        lock.unlock();
-        ReportPushWait(waited, wait_ms);
-        return false;
-      }
-      if (items_.size() < capacity_) {
-        const bool was_empty = items_.empty();
-        items_.push_back(std::move(item));
-        const size_t depth = items_.size();
-        lock.unlock();
-        if (push_counter_ != nullptr) {
-          push_counter_->fetch_add(1, std::memory_order_relaxed);
-        }
-        ReportPushWait(waited, wait_ms);
-        if (observer_ != nullptr) observer_->OnDepth(depth);
-        not_empty_.notify_one();
-        if (was_empty) NotifyReadable();
-        return true;
-      }
-      waited = true;
-      bool ok;
-      if (observer_ != nullptr) {
-        Stopwatch wait;
-        ok = WaitFor(not_full_, lock, token,
-                     [&] { return closed_ || items_.size() < capacity_; });
-        wait_ms += wait.ElapsedMillis();
-      } else {
-        ok = WaitFor(not_full_, lock, token,
-                     [&] { return closed_ || items_.size() < capacity_; });
-      }
-      if (!ok) {
-        // Deadline expired while the queue was still full: promote the
-        // expiry to cancellation (outside the lock — the OnCancel callback
-        // may close this very queue) and give up instead of spinning.
-        lock.unlock();
-        token.IsCancelled();
-        ReportPushWait(waited, wait_ms);
-        return false;
-      }
-    }
-  }
-
-  // Token-aware Pop: returns nullopt as soon as `token` is cancelled, even
-  // if items remain (teardown must not drain), and wakes at the token's
-  // deadline while blocked on an empty queue.
-  std::optional<T> Pop(const CancellationToken& token) {
-    double wait_ms = 0;
-    bool waited = false;
-    for (;;) {
-      if (token.IsCancelled()) {
-        ReportPopWait(waited, wait_ms);
-        return std::nullopt;
-      }
-      std::unique_lock<std::mutex> lock(mu_);
-      if (!items_.empty()) {
-        const bool was_full = items_.size() >= capacity_;
-        T item = std::move(items_.front());
-        items_.pop_front();
-        lock.unlock();
-        ReportPopWait(waited, wait_ms);
-        not_full_.notify_one();
-        if (was_full) NotifyWritable();
-        return item;
-      }
-      if (closed_) {
-        lock.unlock();
-        ReportPopWait(waited, wait_ms);
-        return std::nullopt;
-      }
-      waited = true;
-      bool ok;
-      if (observer_ != nullptr) {
-        Stopwatch wait;
-        ok = WaitFor(not_empty_, lock, token,
-                     [&] { return closed_ || !items_.empty(); });
-        wait_ms += wait.ElapsedMillis();
-      } else {
-        ok = WaitFor(not_empty_, lock, token,
-                     [&] { return closed_ || !items_.empty(); });
-      }
-      if (!ok) {
-        // Deadline expired on an empty queue: promote and return promptly.
-        lock.unlock();
-        token.IsCancelled();
-        ReportPopWait(waited, wait_ms);
-        return std::nullopt;
-      }
-    }
-  }
-
   // Batch push: moves every element of `*items` into the queue, waiting
   // for room as needed. Elements are admitted in order, possibly in
   // several segments when the batch exceeds the free space. Returns true
   // once the whole batch is in; returns false — dropping the not-yet
-  // admitted remainder, like Push drops its item — as soon as the queue
+  // admitted remainder — as soon as the queue
   // is closed or the token is cancelled/expired. `*items` is cleared on
   // return either way. A default-constructed token (never cancelled, no
-  // deadline) gives plain Push semantics.
+  // deadline) waits for room or close only.
   bool PushBatch(std::vector<T>* items,
                  const CancellationToken& token = CancellationToken()) {
     const size_t n = items->size();
@@ -349,8 +181,7 @@ class BlockingQueue {
   // available (or the queue is exhausted / the token fires) and moves up
   // to `max_items` elements out under one lock acquisition. Returns the
   // number of elements delivered; 0 means exhaustion, cancellation or
-  // deadline expiry — the same terminal conditions under which Pop
-  // returns nullopt. Does NOT wait for a full batch: whatever is queued
+  // deadline expiry. Does NOT wait for a full batch: whatever is queued
   // when the wait ends is delivered, so batching never adds latency.
   size_t PopBatch(std::vector<T>* out, size_t max_items,
                   const CancellationToken& token = CancellationToken()) {
@@ -406,19 +237,6 @@ class BlockingQueue {
         return 0;
       }
     }
-  }
-
-  // Non-blocking pop; nullopt if currently empty (regardless of closed state).
-  std::optional<T> TryPop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    const bool was_full = items_.size() >= capacity_;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    if (was_full) NotifyWritable();
-    return item;
   }
 
   // Non-blocking batch pop: clears `*out` and moves up to `max_items`

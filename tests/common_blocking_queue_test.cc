@@ -5,7 +5,9 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -14,58 +16,83 @@
 namespace lakefed {
 namespace {
 
+// One-element transfers through the batch API: the queue moves batches
+// only, and a batch of one behaves as a single push or pop did.
+template <typename T>
+bool Push1(BlockingQueue<T>& q, std::type_identity_t<T> item,
+           const CancellationToken& token = CancellationToken()) {
+  std::vector<T> one;
+  one.push_back(std::move(item));
+  return q.PushBatch(&one, token);
+}
+
+template <typename T>
+std::optional<T> Pop1(BlockingQueue<T>& q,
+                      const CancellationToken& token = CancellationToken()) {
+  std::vector<T> out;
+  if (q.PopBatch(&out, 1, token) == 0) return std::nullopt;
+  return std::move(out.front());
+}
+
+template <typename T>
+std::optional<T> TryPop1(BlockingQueue<T>& q) {
+  std::vector<T> out;
+  if (q.TryPopBatch(&out, 1) == 0) return std::nullopt;
+  return std::move(out.front());
+}
+
 TEST(BlockingQueueTest, PushPopSingleThread) {
   BlockingQueue<int> q(4);
-  EXPECT_TRUE(q.Push(1));
-  EXPECT_TRUE(q.Push(2));
+  EXPECT_TRUE(Push1(q, 1));
+  EXPECT_TRUE(Push1(q, 2));
   EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.Pop(), 1);
-  EXPECT_EQ(q.Pop(), 2);
-  EXPECT_EQ(q.TryPop(), std::nullopt);
+  EXPECT_EQ(Pop1(q), 1);
+  EXPECT_EQ(Pop1(q), 2);
+  EXPECT_EQ(TryPop1(q), std::nullopt);
 }
 
 TEST(BlockingQueueTest, CloseDrainsThenExhausts) {
   BlockingQueue<int> q(4);
-  q.Push(1);
-  q.Push(2);
+  Push1(q, 1);
+  Push1(q, 2);
   q.Close();
-  EXPECT_FALSE(q.Push(3));  // rejected after close
-  EXPECT_EQ(q.Pop(), 1);
-  EXPECT_EQ(q.Pop(), 2);
-  EXPECT_EQ(q.Pop(), std::nullopt);
+  EXPECT_FALSE(Push1(q, 3));  // rejected after close
+  EXPECT_EQ(Pop1(q), 1);
+  EXPECT_EQ(Pop1(q), 2);
+  EXPECT_EQ(Pop1(q), std::nullopt);
   EXPECT_TRUE(q.exhausted());
 }
 
 TEST(BlockingQueueTest, PopBlocksUntilPush) {
   BlockingQueue<int> q(4);
   std::optional<int> got;
-  std::thread consumer([&] { got = q.Pop(); });
+  std::thread consumer([&] { got = Pop1(q); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.Push(42);
+  Push1(q, 42);
   consumer.join();
   EXPECT_EQ(got, 42);
 }
 
 TEST(BlockingQueueTest, PushBlocksWhenFull) {
   BlockingQueue<int> q(1);
-  q.Push(1);
+  Push1(q, 1);
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
-    q.Push(2);
+    Push1(q, 2);
     pushed = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_FALSE(pushed.load());
-  EXPECT_EQ(q.Pop(), 1);
+  EXPECT_EQ(Pop1(q), 1);
   producer.join();
   EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(q.Pop(), 2);
+  EXPECT_EQ(Pop1(q), 2);
 }
 
 TEST(BlockingQueueTest, CloseWakesBlockedConsumer) {
   BlockingQueue<int> q(4);
   std::optional<int> got = 7;
-  std::thread consumer([&] { got = q.Pop(); });
+  std::thread consumer([&] { got = Pop1(q); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   q.Close();
   consumer.join();
@@ -74,9 +101,9 @@ TEST(BlockingQueueTest, CloseWakesBlockedConsumer) {
 
 TEST(BlockingQueueTest, CloseWakesBlockedProducer) {
   BlockingQueue<int> q(1);
-  q.Push(1);
+  Push1(q, 1);
   std::atomic<bool> result{true};
-  std::thread producer([&] { result = q.Push(2); });
+  std::thread producer([&] { result = Push1(q, 2); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   q.Close();
   producer.join();
@@ -91,13 +118,13 @@ TEST(BlockingQueueTest, ManyProducersManyConsumers) {
   std::vector<std::thread> threads;
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.Push(p * kPerProducer + i);
+      for (int i = 0; i < kPerProducer; ++i) Push1(q, p * kPerProducer + i);
     });
   }
   std::vector<std::thread> consumers;
   for (int c = 0; c < kConsumers; ++c) {
     consumers.emplace_back([&] {
-      while (auto v = q.Pop()) {
+      while (auto v = Pop1(q)) {
         sum += *v;
         ++consumed;
       }
@@ -113,8 +140,8 @@ TEST(BlockingQueueTest, ManyProducersManyConsumers) {
 
 TEST(BlockingQueueTest, MoveOnlyPayload) {
   BlockingQueue<std::unique_ptr<int>> q(2);
-  q.Push(std::make_unique<int>(9));
-  auto v = q.Pop();
+  Push1(q, std::make_unique<int>(9));
+  auto v = Pop1(q);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(**v, 9);
 }
@@ -129,9 +156,9 @@ TEST(BlockingQueueTest, CancelUnblocksProducerOnFullQueue) {
   auto q = std::make_shared<BlockingQueue<int>>(1);
   CancellationToken token = CancellationToken::Cancellable();
   token.OnCancel([q] { q->Close(); });
-  ASSERT_TRUE(q->Push(1, token));  // queue now full
+  ASSERT_TRUE(Push1(*q, 1, token));  // queue now full
   std::atomic<bool> result{true};
-  std::thread producer([&] { result = q->Push(2, token); });
+  std::thread producer([&] { result = Push1(*q, 2, token); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_TRUE(result.load());  // still blocked (not yet returned)
   token.Cancel();
@@ -142,23 +169,23 @@ TEST(BlockingQueueTest, CancelUnblocksProducerOnFullQueue) {
 TEST(BlockingQueueTest, CancelledPopDoesNotDrain) {
   BlockingQueue<int> q(4);
   CancellationToken token = CancellationToken::Cancellable();
-  q.Push(1, token);
-  q.Push(2, token);
+  Push1(q, 1, token);
+  Push1(q, 2, token);
   token.Cancel();
   // Remaining items must not be drained after cancellation.
-  EXPECT_EQ(q.Pop(token), std::nullopt);
+  EXPECT_EQ(Pop1(q, token), std::nullopt);
   EXPECT_EQ(q.size(), 2u);
   // The plain overload still drains (legacy close semantics are untouched).
-  EXPECT_EQ(q.Pop(), 1);
+  EXPECT_EQ(Pop1(q), 1);
 }
 
 TEST(BlockingQueueTest, ClosedFullQueueRejectsTokenPush) {
   BlockingQueue<int> q(1);
   CancellationToken token = CancellationToken::Cancellable();
-  ASSERT_TRUE(q.Push(1, token));
+  ASSERT_TRUE(Push1(q, 1, token));
   q.Close();
   // Closed-but-full: the push must fail immediately, not block for room.
-  EXPECT_FALSE(q.Push(2, token));
+  EXPECT_FALSE(Push1(q, 2, token));
 }
 
 TEST(BlockingQueueTest, DeadlineWakesBlockedConsumer) {
@@ -166,7 +193,7 @@ TEST(BlockingQueueTest, DeadlineWakesBlockedConsumer) {
   CancellationToken token = CancellationToken::WithDeadline(
       CancellationToken::Clock::now() + std::chrono::milliseconds(50));
   Stopwatch sw;
-  EXPECT_EQ(q.Pop(token), std::nullopt);  // empty queue, never closed
+  EXPECT_EQ(Pop1(q, token), std::nullopt);  // empty queue, never closed
   EXPECT_LT(sw.ElapsedSeconds(), 5.0);
   EXPECT_TRUE(token.ToStatus().IsDeadlineExceeded());
 }
@@ -175,9 +202,9 @@ TEST(BlockingQueueTest, DeadlineWakesBlockedProducer) {
   BlockingQueue<int> q(1);
   CancellationToken token = CancellationToken::WithDeadline(
       CancellationToken::Clock::now() + std::chrono::milliseconds(50));
-  ASSERT_TRUE(q.Push(1, token));
+  ASSERT_TRUE(Push1(q, 1, token));
   Stopwatch sw;
-  EXPECT_FALSE(q.Push(2, token));  // full queue, no consumer
+  EXPECT_FALSE(Push1(q, 2, token));  // full queue, no consumer
   EXPECT_LT(sw.ElapsedSeconds(), 5.0);
   EXPECT_TRUE(token.ToStatus().IsDeadlineExceeded());
 }
@@ -192,9 +219,9 @@ TEST(BlockingQueueTest, ExpiredDeadlinePushReturnsPromptly) {
   CancellationToken token = CancellationToken::WithDeadline(
       CancellationToken::Clock::now() - std::chrono::milliseconds(10));
   // Fill the queue via the plain overload: the expired token would refuse.
-  ASSERT_TRUE(q.Push(1));
+  ASSERT_TRUE(Push1(q, 1));
   Stopwatch sw;
-  EXPECT_FALSE(q.Push(2, token));
+  EXPECT_FALSE(Push1(q, 2, token));
   EXPECT_LT(sw.ElapsedSeconds(), 1.0);
   EXPECT_TRUE(token.ToStatus().IsDeadlineExceeded());
 }
@@ -204,7 +231,7 @@ TEST(BlockingQueueTest, ExpiredDeadlinePopReturnsPromptly) {
   CancellationToken token = CancellationToken::WithDeadline(
       CancellationToken::Clock::now() - std::chrono::milliseconds(10));
   Stopwatch sw;
-  EXPECT_EQ(q.Pop(token), std::nullopt);  // empty, never closed
+  EXPECT_EQ(Pop1(q, token), std::nullopt);  // empty, never closed
   EXPECT_LT(sw.ElapsedSeconds(), 1.0);
   EXPECT_TRUE(token.ToStatus().IsDeadlineExceeded());
 }
@@ -250,10 +277,10 @@ TEST(BlockingQueueObserverTest, UncontendedOpsReportDepthButNoWaits) {
   BlockingQueue<int> q(4);
   auto obs = std::make_shared<RecordingObserver>();
   q.set_wait_observer(obs);
-  q.Push(1);
-  q.Push(2);
-  EXPECT_EQ(q.Pop(), 1);
-  EXPECT_EQ(q.Pop(), 2);
+  Push1(q, 1);
+  Push1(q, 2);
+  EXPECT_EQ(Pop1(q), 1);
+  EXPECT_EQ(Pop1(q), 2);
   EXPECT_EQ(obs->push_waits(), 0);
   EXPECT_EQ(obs->pop_waits(), 0);
   // One occupancy sample per successful push; second push saw depth 2.
@@ -265,10 +292,10 @@ TEST(BlockingQueueObserverTest, ProducerWaitIsReportedWithDuration) {
   BlockingQueue<int> q(1);
   auto obs = std::make_shared<RecordingObserver>();
   q.set_wait_observer(obs);
-  q.Push(1);  // full
-  std::thread producer([&] { q.Push(2); });
+  Push1(q, 1);  // full
+  std::thread producer([&] { Push1(q, 2); });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_EQ(q.Pop(), 1);
+  EXPECT_EQ(Pop1(q), 1);
   producer.join();
   EXPECT_EQ(obs->push_waits(), 1);
   // Slept ~30ms while the producer was blocked; allow generous CI slack.
@@ -279,9 +306,9 @@ TEST(BlockingQueueObserverTest, ConsumerWaitIsReportedWithDuration) {
   BlockingQueue<int> q(4);
   auto obs = std::make_shared<RecordingObserver>();
   q.set_wait_observer(obs);
-  std::thread consumer([&] { EXPECT_EQ(q.Pop(), 42); });
+  std::thread consumer([&] { EXPECT_EQ(Pop1(q), 42); });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  q.Push(42);
+  Push1(q, 42);
   consumer.join();
   EXPECT_EQ(obs->pop_waits(), 1);
   EXPECT_GE(obs->pop_wait_ms(), 5.0);
@@ -293,8 +320,8 @@ TEST(BlockingQueueObserverTest, WaitEndedByCloseIsStillReported) {
   BlockingQueue<int> q(1);
   auto obs = std::make_shared<RecordingObserver>();
   q.set_wait_observer(obs);
-  q.Push(1);
-  std::thread producer([&] { EXPECT_FALSE(q.Push(2)); });
+  Push1(q, 1);
+  std::thread producer([&] { EXPECT_FALSE(Push1(q, 2)); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   q.Close();
   producer.join();
@@ -310,8 +337,8 @@ TEST(BlockingQueueObserverTest, TokenCancellationReportsWaits) {
   q->set_wait_observer(obs);
   CancellationToken token = CancellationToken::Cancellable();
   token.OnCancel([q] { q->Close(); });
-  ASSERT_TRUE(q->Push(1, token));
-  std::thread producer([&] { EXPECT_FALSE(q->Push(2, token)); });
+  ASSERT_TRUE(Push1(*q, 1, token));
+  std::thread producer([&] { EXPECT_FALSE(Push1(*q, 2, token)); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   token.Cancel();
   producer.join();
@@ -325,7 +352,7 @@ TEST(BlockingQueueObserverTest, DeadlineExpiryReportsWaits) {
   q.set_wait_observer(obs);
   CancellationToken token = CancellationToken::WithDeadline(
       CancellationToken::Clock::now() + std::chrono::milliseconds(30));
-  EXPECT_EQ(q.Pop(token), std::nullopt);  // empty queue: waits out deadline
+  EXPECT_EQ(Pop1(q, token), std::nullopt);  // empty queue: waits out deadline
   EXPECT_EQ(obs->pop_waits(), 1);
   EXPECT_GE(obs->pop_wait_ms(), 5.0);
 }
@@ -335,9 +362,9 @@ TEST(BlockingQueueObserverTest, TokenPushSamplesDepth) {
   auto obs = std::make_shared<RecordingObserver>();
   q.set_wait_observer(obs);
   CancellationToken token = CancellationToken::Cancellable();
-  q.Push(1, token);
-  q.Push(2, token);
-  q.Push(3, token);
+  Push1(q, 1, token);
+  Push1(q, 2, token);
+  Push1(q, 3, token);
   EXPECT_EQ(obs->depth_samples(), 3);
   EXPECT_EQ(obs->peak_depth(), 3u);
   EXPECT_EQ(obs->push_waits(), 0);
@@ -451,7 +478,7 @@ TEST(BlockingQueueBatchTest, CancelMidBatchDropsRemainder) {
 
 TEST(BlockingQueueBatchTest, DeadlineWakesBlockedBatchProducerAndConsumer) {
   BlockingQueue<int> q(1);
-  ASSERT_TRUE(q.Push(1));
+  ASSERT_TRUE(Push1(q, 1));
   CancellationToken token = CancellationToken::WithDeadline(
       CancellationToken::Clock::now() + std::chrono::milliseconds(30));
   std::vector<int> in{2, 3};
@@ -528,18 +555,19 @@ TEST(BlockingQueueBatchObserverTest, BlockedPopBatchReportsWait) {
 }
 
 TEST(BlockingQueueBatchTest, BatchAndRowOpsInterleave) {
-  // Batched and row-at-a-time producers/consumers share one queue: the
-  // element stream stays a plain FIFO regardless of transfer granularity.
+  // Batches of different sizes, blocking and non-blocking, share one
+  // queue: the element stream stays a plain FIFO regardless of transfer
+  // granularity.
   BlockingQueue<int> q(16);
-  ASSERT_TRUE(q.Push(1));
+  ASSERT_TRUE(Push1(q, 1));
   std::vector<int> in{2, 3};
   ASSERT_TRUE(q.PushBatch(&in));
-  ASSERT_TRUE(q.Push(4));
-  EXPECT_EQ(q.Pop(), 1);
+  ASSERT_TRUE(Push1(q, 4));
+  EXPECT_EQ(Pop1(q), 1);
   std::vector<int> out;
   EXPECT_EQ(q.PopBatch(&out, 2), 2u);
   EXPECT_EQ(out, (std::vector<int>{2, 3}));
-  EXPECT_EQ(q.Pop(), 4);
+  EXPECT_EQ(Pop1(q), 4);
 }
 
 TEST(BlockingQueueBatchTest, MoveOnlyBatchPayload) {
@@ -560,13 +588,13 @@ TEST(BlockingQueueListenerTest, ReadableFiresOnEmptyToNonEmpty) {
   BlockingQueue<int> q(4);
   int fired = 0;
   q.AddReadableListener([&fired] { ++fired; });
-  q.Push(1);  // empty -> non-empty
+  Push1(q, 1);  // empty -> non-empty
   EXPECT_EQ(fired, 1);
-  q.Push(2);  // already non-empty: no new edge
+  Push1(q, 2);  // already non-empty: no new edge
   EXPECT_EQ(fired, 1);
-  q.Pop();
-  q.Pop();    // drained
-  q.Push(3);  // empty -> non-empty again
+  Pop1(q);
+  Pop1(q);    // drained
+  Push1(q, 3);  // empty -> non-empty again
   EXPECT_EQ(fired, 2);
 }
 
@@ -574,12 +602,12 @@ TEST(BlockingQueueListenerTest, WritableFiresOnFullToBelowCapacity) {
   BlockingQueue<int> q(2);
   int fired = 0;
   q.AddWritableListener([&fired] { ++fired; });
-  q.Push(1);
-  q.Push(2);  // now full
+  Push1(q, 1);
+  Push1(q, 2);  // now full
   EXPECT_EQ(fired, 0);
-  q.Pop();    // full -> below capacity
+  Pop1(q);    // full -> below capacity
   EXPECT_EQ(fired, 1);
-  q.Pop();    // was not full: no edge
+  Pop1(q);    // was not full: no edge
   EXPECT_EQ(fired, 1);
 }
 
@@ -614,8 +642,8 @@ TEST(BlockingQueueListenerTest, TryPopBatchFiresWritableListener) {
   BlockingQueue<int> q(2);
   int fired = 0;
   q.AddWritableListener([&fired] { ++fired; });
-  q.Push(1);
-  q.Push(2);  // full
+  Push1(q, 1);
+  Push1(q, 2);  // full
   std::vector<int> out;
   bool exhausted = true;
   EXPECT_EQ(q.TryPopBatch(&out, 8, &exhausted), 2u);
@@ -647,7 +675,7 @@ TEST(BlockingQueueListenerTest, ListenerMayReenterQueue) {
     q.TryPopBatch(&out, 8);
     for (int v : out) seen.push_back(v);
   });
-  q.Push(7);
+  Push1(q, 7);
   EXPECT_EQ(seen, std::vector<int>({7}));
 }
 

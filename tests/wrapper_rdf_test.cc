@@ -54,7 +54,10 @@ class RdfWrapperTest : public ::testing::Test {
     EXPECT_TRUE(st.ok()) << st;
     out.Close();
     std::vector<rdf::Binding> rows;
-    while (auto row = out.Pop()) rows.push_back(std::move(*row));
+    std::vector<rdf::Binding> batch;
+    while (out.PopBatch(&batch, 64) > 0) {
+      for (rdf::Binding& row : batch) rows.push_back(std::move(row));
+    }
     return rows;
   }
 

@@ -58,7 +58,10 @@ class SqlWrapperTest : public ::testing::Test {
     EXPECT_TRUE(st.ok()) << st;
     out.Close();
     std::vector<rdf::Binding> rows;
-    while (auto row = out.Pop()) rows.push_back(std::move(*row));
+    std::vector<rdf::Binding> batch;
+    while (out.PopBatch(&batch, 64) > 0) {
+      for (rdf::Binding& row : batch) rows.push_back(std::move(row));
+    }
     return rows;
   }
 
@@ -113,7 +116,8 @@ TEST_F(SqlWrapperTest, ClosedDownstreamStopsScanEarly) {
   ctx.out = &out;
   ASSERT_TRUE(wrapper_->Execute(MakeSubQuery(kGeneStar), ctx).ok());
   size_t delivered = 0;
-  while (out.Pop()) ++delivered;
+  std::vector<rdf::Binding> batch;
+  while (size_t n = out.PopBatch(&batch, 64)) delivered += n;
   EXPECT_EQ(delivered, 1u);  // the first morsel is one row
   rel::ExecCounters counters = wrapper_->last_counters();
   EXPECT_GE(counters.rows_scanned, 1u);
