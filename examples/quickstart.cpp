@@ -60,9 +60,8 @@ SELECT ?name ?effect WHERE {
     return 1;
   }
   std::printf("\n-- answers (streaming) --\n");
-  // NextBatch is the primary pull API: each call delivers the morsel of
-  // rows that became available together (row-at-a-time Next(&row) remains
-  // as a compatibility shim over it).
+  // NextBatch is the pull API for streaming callers: each call delivers
+  // the morsel of rows that became available together.
   fed::RowBatch batch;
   size_t rows = 0;
   while ((*stream)->NextBatch(&batch)) {
