@@ -154,8 +154,10 @@ class OpRuntimeRec : public QueueWaitObserver {
 // the scheduler's auxiliary I/O pool.
 
 // Counts an execution's outstanding tasks and I/O jobs so Finish() can
-// wait for all of them, or so a collecting session hears once that all of
-// them are done.
+// wait for all of them. A collecting session (ResultStream::Collect) also
+// arms its collector task here, which the root's readable listener, wired
+// before the dataflow starts, wakes once it exists, and a hook that the
+// Done() bringing the count to zero runs once.
 class TaskGroup {
  public:
   void Add() {
@@ -176,43 +178,28 @@ class TaskGroup {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return outstanding_ == 0; });
   }
-  // Runs `fn` once, on the thread whose Done() brings the count to zero.
-  // Arm it only while something is outstanding.
-  void OnIdle(std::function<void()> fn) {
+  // Arm only while something is outstanding.
+  void Collect(svc::Scheduler::TaskRef collector,
+               std::function<void()> on_idle) {
     std::lock_guard<std::mutex> lock(mu_);
-    on_idle_ = std::move(fn);
+    collector_ = std::move(collector);
+    on_idle_ = std::move(on_idle);
+  }
+  void WakeCollector(svc::Scheduler* sched) {
+    svc::Scheduler::TaskRef ref;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ref = collector_;
+    }
+    if (ref != nullptr) sched->Wake(ref);
   }
 
  private:
   std::mutex mu_;
   std::condition_variable cv_;
   size_t outstanding_ = 0;
+  svc::Scheduler::TaskRef collector_;
   std::function<void()> on_idle_;
-};
-
-// Wakes the task that collects the root queue, once there is one: the
-// root's readable listener must be registered before the dataflow starts,
-// but a session decides to collect only later (ResultStream::Collect).
-class RootWaker {
- public:
-  explicit RootWaker(svc::Scheduler* sched) : sched_(sched) {}
-  void Set(svc::Scheduler::TaskRef ref) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ref_ = std::move(ref);
-  }
-  void Wake() {
-    svc::Scheduler::TaskRef ref;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ref = ref_;
-    }
-    if (ref != nullptr) sched_->Wake(ref);
-  }
-
- private:
-  svc::Scheduler* const sched_;
-  std::mutex mu_;
-  svc::Scheduler::TaskRef ref_;
 };
 
 // A task's output side. Rows accumulate in an overflow buffer and move
@@ -761,8 +748,8 @@ class PlanExecution::Impl {
       return;
     }
     root_ = StartNode(*plan.root);
-    root_waker_ = std::make_shared<RootWaker>(sched_);
-    root_->AddReadableListener([waker = root_waker_] { waker->Wake(); });
+    root_->AddReadableListener(
+        [group = task_group_, sched = sched_] { group->WakeCollector(sched); });
     // Every kick-off (initial wakes, leaf I/O submissions) waits until the
     // whole tree is wired: queue readiness listeners must be frozen before
     // the first producer can push.
@@ -797,11 +784,10 @@ class PlanExecution::Impl {
     // cannot go idle before the hook is armed. The last Done() may come
     // from inside a task's Step() or an I/O job; the hook runs as a timer
     // due now, on a worker between steps.
-    task_group_->OnIdle(
-        [sched = sched_, on_done = std::move(on_done)]() mutable {
+    task_group_->Collect(
+        ref, [sched = sched_, on_done = std::move(on_done)]() mutable {
           sched->RunAt(svc::Scheduler::Clock::now(), std::move(on_done));
         });
-    root_waker_->Set(ref);
     sched_->Wake(ref);
   }
 
@@ -1985,7 +1971,6 @@ class PlanExecution::Impl {
   // Morsel size of the exchange (>= 1; 1 = legacy row-at-a-time).
   const size_t batch_;
   RowQueuePtr root_;
-  std::shared_ptr<RootWaker> root_waker_;
   // The worker pool the tasks run on (PlanOptions::scheduler), the
   // outstanding-work counter Finish() waits on, and the kick-offs deferred
   // until the tree is fully wired.

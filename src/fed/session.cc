@@ -1,10 +1,8 @@
 #include "fed/session.h"
 
-#include <condition_variable>
 #include <cstdio>
+#include <future>
 #include <iterator>
-#include <mutex>
-#include <optional>
 
 #include "fed/breaker.h"
 #include "fed/cache.h"
@@ -285,19 +283,14 @@ Result<QueryAnswer> ResultStream::TakeAnswer() {
 }
 
 Result<QueryAnswer> ResultStream::Drain() {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::optional<Result<QueryAnswer>> answer;
-  Collect([&](Result<QueryAnswer> result) {
-    // Notified under the lock: Drain() may return the moment it can see
-    // the answer, taking `cv` with it.
-    std::lock_guard<std::mutex> lock(mu);
-    answer.emplace(std::move(result));
-    cv.notify_one();
+  // Shared with the callback, so the promise outlives a set_value() that
+  // is still returning when the waiter below wakes and leaves.
+  auto answer = std::make_shared<std::promise<Result<QueryAnswer>>>();
+  std::future<Result<QueryAnswer>> ready = answer->get_future();
+  Collect([answer](Result<QueryAnswer> result) {
+    answer->set_value(std::move(result));
   });
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return answer.has_value(); });
-  return std::move(*answer);
+  return ready.get();
 }
 
 }  // namespace lakefed::fed

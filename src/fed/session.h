@@ -65,7 +65,8 @@ struct QueryRequest {
 
 // A live query execution. Created by FederatedEngine::CreateSession; the
 // dataflow (operator tasks and leaf jobs) is already running when the
-// stream is handed out, so Next() simply pulls from the plan's root queue.
+// stream is handed out, so NextBatch() simply pulls from the plan's root
+// queue, and Collect() has a task gather it.
 //
 // Every query runs one way: one plan for the whole query (UNION branches
 // under one Union operator, aggregates in an Aggregate operator, the

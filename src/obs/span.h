@@ -45,9 +45,6 @@ class SpanRecorder {
   // Closes the span; unknown/0 ids are ignored.
   void EndSpan(uint64_t id);
 
-  // Milliseconds since the recorder was created (the spans' time base).
-  double ElapsedMs() const { return clock_.ElapsedMillis(); }
-
   std::vector<SpanRecord> Snapshot() const;
   uint64_t dropped() const;
   size_t size() const;

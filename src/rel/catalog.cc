@@ -28,12 +28,6 @@ const Table* Catalog::GetTable(const std::string& name) const {
   return it == tables_.end() ? nullptr : it->second.get();
 }
 
-Result<Table*> Catalog::FindTable(const std::string& name) {
-  Table* table = GetTable(name);
-  if (table == nullptr) return Status::NotFound("table '" + name + "'");
-  return table;
-}
-
 std::vector<std::string> Catalog::TableNames() const {
   std::vector<std::string> names;
   names.reserve(tables_.size());

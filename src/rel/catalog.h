@@ -27,8 +27,6 @@ class Catalog {
   Table* GetTable(const std::string& name);
   const Table* GetTable(const std::string& name) const;
 
-  Result<Table*> FindTable(const std::string& name);
-
   std::vector<std::string> TableNames() const;
   size_t num_tables() const { return tables_.size(); }
 

@@ -88,14 +88,6 @@ double CardinalityEstimator::EstimateShippedRows(
   return rows;
 }
 
-double CardinalityEstimator::EstimateOutputRows(const PatternSpec& spec) const {
-  double rows = EstimateShippedRows(spec);
-  for (const auto& f : spec.engine_filters) {
-    if (f != nullptr) rows *= EstimateFilterSelectivity(spec, *f);
-  }
-  return rows;
-}
-
 double CardinalityEstimator::EstimateFilterSelectivity(
     const PatternSpec& spec, const sparql::FilterExpr& filter) const {
   using Kind = sparql::FilterExpr::Kind;

@@ -37,10 +37,8 @@ struct PatternSpec {
   bool subject_is_constant = false;
   std::string subject_var;  // empty when subject_is_constant
   std::vector<PatternPredicate> predicates;  // constant non-rdf:type preds
-  // Filters split by placement: source filters shrink what the wrapper
-  // ships, engine filters shrink the operator's output above it.
+  // Filters the source evaluates: they shrink what the wrapper ships.
   std::vector<sparql::FilterExprPtr> source_filters;
-  std::vector<sparql::FilterExprPtr> engine_filters;
   // Object variable -> the predicate IRI binding it (for filter and join
   // selectivity lookups).
   std::map<std::string, std::string> var_predicates;
@@ -61,10 +59,6 @@ class CardinalityEstimator {
   // Rows the wrapper ships to the engine: entity count, narrowed by object
   // constants and source-placed filters, widened by multi-valued predicates.
   double EstimateShippedRows(const PatternSpec& spec) const;
-
-  // Rows the service operator emits: shipped rows further narrowed by the
-  // engine-placed filters.
-  double EstimateOutputRows(const PatternSpec& spec) const;
 
   // Selectivity of one filter expression over the spec's rows, in [0, 1].
   double EstimateFilterSelectivity(const PatternSpec& spec,

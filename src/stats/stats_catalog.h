@@ -80,13 +80,6 @@ struct AttributeStats {
                : static_cast<double>(triple_count) /
                      static_cast<double>(distinct_subjects);
   }
-  // Mean triples per distinct object value.
-  double ObjectMultiplicity() const {
-    return distinct_objects == 0
-               ? 0.0
-               : static_cast<double>(triple_count) /
-                     static_cast<double>(distinct_objects);
-  }
 };
 
 // Statistics of one RDF-MT (class) at one source.

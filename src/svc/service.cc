@@ -46,14 +46,6 @@ std::string HitRate(const fed::CacheStats& cs) {
 
 }  // namespace
 
-std::string PriorityToString(Priority priority) {
-  switch (priority) {
-    case Priority::kInteractive: return "interactive";
-    case Priority::kBatch: return "batch";
-  }
-  return "unknown";
-}
-
 // ---------------------------------------------------------------------
 // Submission
 
@@ -418,15 +410,8 @@ size_t QueryService::QueueDepthLocked() const {
 }
 
 void QueryService::PruneLocked() {
-  const auto now = CancellationToken::Clock::now();
   for (const auto& queue : {&interactive_, &batch_}) {
-    std::erase_if(*queue, [&](const std::shared_ptr<Submission>& sub) {
-      // An expired deadline whose timer has not fired yet expires here.
-      if (sub->deadline_.has_value() && now >= *sub->deadline_ &&
-          sub->FinishQueued(Status::DeadlineExceeded(
-              "deadline expired in admission queue"))) {
-        expired_counter_->Increment();
-      }
+    std::erase_if(*queue, [](const std::shared_ptr<Submission>& sub) {
       return sub->done();
     });
   }
@@ -591,7 +576,13 @@ void QueryService::Release(const std::shared_ptr<Submission>& sub,
     // nothing below touches the service unless `ready` holds a slot.
     if (running_ == 0) idle_cv_.notify_all();
   }
-  for (const std::shared_ptr<Submission>& next : ready) Dispatch(next);
+  // Each dispatch runs as a timer rather than here: a session can end
+  // inside its own dispatch and come back to Release, and a queue of such
+  // sessions must not nest one dispatch inside the next.
+  for (std::shared_ptr<Submission>& next : ready) {
+    scheduler_.RunAt(Scheduler::Clock::now(),
+                     [this, next = std::move(next)] { Dispatch(next); });
+  }
 }
 
 }  // namespace lakefed::svc

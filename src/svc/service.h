@@ -61,8 +61,6 @@ enum class Priority {
   kBatch,        // dispatched when no interactive request is eligible
 };
 
-std::string PriorityToString(Priority priority);
-
 struct ServiceConfig {
   // The shared worker pool every admitted session runs on.
   Scheduler::Config scheduler;
@@ -241,7 +239,7 @@ class QueryService {
   size_t QuotaFor(const std::string& tenant) const;
   size_t QueueDepthLocked() const;
   // Drops queued submissions that reached a terminal state (cancelled,
-  // expired by their timer) and expires those whose deadline has passed.
+  // expired by their timer).
   void PruneLocked();
   // Fills free run slots: picks queued submissions in priority order,
   // skipping tenants at quota, and reserves their slots. The caller
@@ -251,10 +249,11 @@ class QueryService {
   void ArmExpiry(const std::shared_ptr<Submission>& sub);
   // The dispatch step: creates the session of a submission that holds a
   // reserved slot and has it collected; the session's completion hook
-  // calls Release.
+  // calls Release. A submission whose deadline has passed by now expires
+  // here, the late check behind its expiry timer.
   void Dispatch(const std::shared_ptr<Submission>& sub);
   // Releases the slot, charges the tenant, completes the submission with
-  // `outcome` and dispatches what the freed slot admits.
+  // `outcome` and arms the dispatch of what the freed slot admits.
   void Release(const std::shared_ptr<Submission>& sub,
                Result<fed::QueryAnswer> outcome);
 

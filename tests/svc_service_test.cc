@@ -7,6 +7,7 @@
 #include "svc/service.h"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <atomic>
 #include <chrono>
@@ -294,6 +295,50 @@ TEST_F(QueryServiceTest, DroppedSubmissionStillReleasesItsSlot) {
             OracleAnswers(*lake_, lslod::FindQuery("Q1")->sparql));
   EXPECT_EQ(service.stats().running, 0u);
   EXPECT_EQ(service.stats().completed, 2u);
+}
+
+// A session that ends inside its dispatch (here: a parse error) frees its
+// slot for the next queued one. Hundreds of them queued behind a busy slot
+// must not nest one dispatch inside the next: the pool's workers get small
+// stacks here, which a chain of nested dispatches would overflow.
+TEST_F(QueryServiceTest, FailingQueuedSessionsDispatchWithoutRecursion) {
+  pthread_attr_t saved;
+  ASSERT_EQ(pthread_getattr_default_np(&saved), 0);
+  pthread_attr_t small;
+  ASSERT_EQ(pthread_attr_init(&small), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&small, 512 * 1024), 0);
+  ASSERT_EQ(pthread_setattr_default_np(&small), 0);
+  ServiceConfig config;
+  config.scheduler.workers = 1;
+  config.scheduler.io_threads = 2;
+  config.max_concurrent_sessions = 1;
+  auto service = std::make_unique<QueryService>(lake_->engine.get(), config);
+  ASSERT_EQ(pthread_setattr_default_np(&saved), 0);
+  pthread_attr_destroy(&small);
+  pthread_attr_destroy(&saved);
+
+  ServiceRequest slow = Request("Q4");
+  slow.query.options.network = net::NetworkProfile::Gamma3();
+  auto blocker = service->Submit(std::move(slow));
+  ASSERT_TRUE(blocker.ok());
+  std::vector<std::shared_ptr<Submission>> failing;
+  for (int i = 0; i < 600; ++i) {
+    ServiceRequest bad = Request("Q1");
+    bad.query = fed::QueryRequest::Text("SELECT WHERE {");
+    auto sub = service->Submit(std::move(bad));
+    ASSERT_TRUE(sub.ok());
+    failing.push_back(*sub);
+  }
+  EXPECT_FALSE((*blocker)->done());
+  (*blocker)->Cancel();  // its completion hook dispatches the 600
+  (*blocker)->Wait();
+  for (const std::shared_ptr<Submission>& sub : failing) {
+    const Result<fed::QueryAnswer>& outcome = sub->Wait();
+    EXPECT_FALSE(outcome.ok());
+  }
+  EXPECT_EQ(service->stats().running, 0u);
+  EXPECT_GE(service->stats().errors, 600u);
+  service.reset();
 }
 
 // Cancel() races dispatch, collection and completion: every outcome is a
