@@ -276,6 +276,9 @@ TEST_F(QueryServiceTest, StartsOnlyThePoolThreads) {
   config.scheduler.workers = 2;
   config.scheduler.io_threads = 3;
   config.max_concurrent_sessions = 16;
+  // A sanitizer runtime starts a helper thread with the process's first
+  // thread; start one here so the count below sees the service alone.
+  std::thread([] {}).join();
   const size_t before = ThreadCount();
   QueryService service(lake_->engine.get(), config);
   EXPECT_EQ(ThreadCount() - before, 5u);
@@ -302,11 +305,17 @@ TEST_F(QueryServiceTest, DroppedSubmissionStillReleasesItsSlot) {
 // must not nest one dispatch inside the next: the pool's workers get small
 // stacks here, which a chain of nested dispatches would overflow.
 TEST_F(QueryServiceTest, FailingQueuedSessionsDispatchWithoutRecursion) {
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+  // Sanitizer runtimes keep large per-thread state and grow every frame.
+  constexpr size_t kWorkerStack = 8 << 20;
+#else
+  constexpr size_t kWorkerStack = 512 << 10;
+#endif
   pthread_attr_t saved;
   ASSERT_EQ(pthread_getattr_default_np(&saved), 0);
   pthread_attr_t small;
   ASSERT_EQ(pthread_attr_init(&small), 0);
-  ASSERT_EQ(pthread_attr_setstacksize(&small, 512 * 1024), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&small, kWorkerStack), 0);
   ASSERT_EQ(pthread_setattr_default_np(&small), 0);
   ServiceConfig config;
   config.scheduler.workers = 1;
