@@ -38,13 +38,13 @@ else
   # fail when the median with metrics on costs > 5% over the median
   # without. One attempt: the paired medians are the verdict.
   BENCH_CSV="$(build/bench/micro_fed_operators \
-      --benchmark_filter='BM_FederatedJoinThroughput(NoMetrics)?/40$' \
+      --benchmark_filter='BM_FederatedJoinThroughput(NoMetrics)?/40/real_time$' \
       --benchmark_repetitions=30 --benchmark_enable_random_interleaving=true \
       --benchmark_format=csv 2>/dev/null)"
   ON_MS="$(echo "$BENCH_CSV" | awk -F, \
-      '$1 == "\"BM_FederatedJoinThroughput/40_median\"" {print $3}')"
+      '$1 == "\"BM_FederatedJoinThroughput/40/real_time_median\"" {print $3}')"
   OFF_MS="$(echo "$BENCH_CSV" | awk -F, \
-      '$1 == "\"BM_FederatedJoinThroughputNoMetrics/40_median\"" {print $3}')"
+      '$1 == "\"BM_FederatedJoinThroughputNoMetrics/40/real_time_median\"" {print $3}')"
   if [[ -z "$ON_MS" || -z "$OFF_MS" ]]; then
     echo "error: could not parse bench output:"
     echo "$BENCH_CSV"
