@@ -2,9 +2,9 @@
 // multi-tenant QueryService at increasing session counts and measure
 // throughput, end-to-end latency percentiles and the process thread peak.
 // The point of the shared worker-pool scheduler is that the thread count
-// stays workers + I/O pool + run slots no matter how many sessions are in
-// flight — a thread per operator would need O(sessions x operators)
-// threads to do this.
+// stays workers + I/O pool no matter how many sessions are in flight (a
+// run slot is a count, not a thread) — a thread per operator would need
+// O(sessions x operators) threads to do this.
 //
 // Every session's answer is checked against a reference execution of the
 // same query (an order-independent content hash + row count): one wrong,

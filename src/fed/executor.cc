@@ -155,8 +155,8 @@ class OpRuntimeRec : public QueueWaitObserver {
 
 // Counts an execution's outstanding tasks and I/O jobs so Finish() can
 // wait for all of them. A collecting session (ResultStream::Collect) also
-// arms its collector task here, which the root's readable listener, wired
-// before the dataflow starts, wakes once it exists, and a hook that the
+// arms it with its collector task, which the root's readable listener
+// (wired before the dataflow starts) wakes, and with a hook that the
 // Done() bringing the count to zero runs once.
 class TaskGroup {
  public:
